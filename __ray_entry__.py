@@ -7,14 +7,31 @@ gives the DuckDB-equivalent SQL (full value-hash parity — including a
 complete SQL re-implementation of the rHEALPix forward projection and
 SUID digit chain, see rhealpixdggs_py_ray/oracle.py).
 
+Both maps are derived from the ``pipelines.queries`` namespace: every
+``q_<stem>`` is the query ``<stem>`` and ``sql_<stem>`` is its oracle,
+except for the stems listed in ``_KEY_AND_ORACLE``.
+
 Ray is initialised by the driver before this module is imported;
 nothing here calls ray.init()/ray.shutdown().
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
+
+# q_ stem -> (driver key, sql_ stem) where either differs from the stem.
+_KEY_AND_ORACLE = {
+    "minhash_lsh": ("dedup_minhash_lsh", "minhash_lsh"),
+    "simhash": ("dedup_simhash", "simhash"),
+    "ngram_jaccard": ("dedup_ngram_jaccard", "ngram_jaccard"),
+    "embedding_dedup": ("dedup_embedding", "embedding_dedup"),
+    "embedding_dedup_lsh": ("dedup_embedding_lsh", "embedding_dedup_lsh"),
+    "quality": ("quality_score", "quality"),
+    "compress": ("compress_cells", "compress"),
+    "knn_rings": ("knn_rings", "knn"),
+    "tile_counts_salted": ("tile_counts_salted", "tile_counts"),
+}
 
 
 def entry() -> Any:
@@ -27,901 +44,20 @@ def entry() -> Any:
     return Q.q_tile_counts("/root/testdata/sf0.001")
 
 
-def queries() -> dict[str, Callable[[str], Any]]:
+def _registry() -> Iterator[tuple[str, Callable, Callable[[], str]]]:
+    """Yield (key, query, oracle) for every ``q_*`` in the namespace."""
     from rhealpixdggs_py_ray.pipelines import queries as Q
 
-    return {
-        "cell_from_point": Q.q_cell_from_point,
-        "cell_from_point_lon0": Q.q_cell_from_point_lon0,
-        "cell_from_point_shifted": Q.q_cell_from_point_shifted,
-        "cell_from_point_nside2": Q.q_cell_from_point_nside2,
-        "cell_from_point_ns12": Q.q_cell_from_point_ns12,
-        "cell_from_point_radians": Q.q_cell_from_point_radians,
-        "cell_from_point_unit": Q.q_cell_from_point_unit,
-        "cell_color": Q.q_cell_color,
-        "tile_counts": Q.q_tile_counts,
-        "tile_pyramid": Q.q_tile_pyramid,
-        "spatial_join_bbox": Q.q_spatial_join_bbox,
-        "zonal_stats": Q.q_zonal_stats,
-        "grid": Q.q_grid,
-        "grid_ul_r4": Q.q_grid_ul_r4,
-        "knn": Q.q_knn,
-        "agg_lineitem": Q.q_agg_lineitem,
-        "join_customer_nation": Q.q_join_customer_nation,
-        "priority_revenue": Q.q_priority_revenue,
-        "nation_revenue": Q.q_nation_revenue,
-        "topk_orders": Q.q_topk_orders,
-        "topk_per_group": Q.q_topk_per_group,
-        "dedup_exact": Q.q_dedup_exact,
-        "dedup_normalized": Q.q_dedup_normalized,
-        "curate": Q.q_curate,
-        "token_stats": Q.q_token_stats,
-        "chunk_docs": Q.q_chunk_docs,
-        "sample_stratified": Q.q_sample_stratified,
-        "sample_bottomk": Q.q_sample_bottomk,
-        "vocab": Q.q_vocab,
-        "salient_terms": Q.q_salient_terms,
-        "decontaminate": Q.q_decontaminate,
-        "repetition": Q.q_repetition,
-        "sessions": Q.q_sessions,
-        "dedup_minhash_lsh": Q.q_minhash_lsh,
-        "dedup_clusters": Q.q_dedup_clusters,
-        "dedup_simhash": Q.q_simhash,
-        "dedup_ngram_jaccard": Q.q_ngram_jaccard,
-        "dedup_embedding": Q.q_embedding_dedup,
-        "dedup_embedding_lsh": Q.q_embedding_dedup_lsh,
-        "embedding_centroids": Q.q_embedding_centroids,
-        "embedding_gram": Q.q_embedding_gram,
-        "nearest_centroid": Q.q_nearest_centroid,
-        "kmeans_step": Q.q_kmeans_step,
-        "ann_topk": Q.q_ann_topk,
-        "ann_topk_lsh": Q.q_ann_topk_lsh,
-        "ann_topk_ivf": Q.q_ann_topk_ivf,
-        "lang_id": Q.q_lang_id,
-        "quality_score": Q.q_quality,
-        "label_quality": Q.q_label_quality,
-        "fingerprint": Q.q_fingerprint,
-        "polyfill": Q.q_polyfill,
-        "polyfill_polar": Q.q_polyfill_polar,
-        "compress_polar": Q.q_compress_polar,
-        "polyfill_polar_ns12": Q.q_polyfill_polar_ns12,
-        "polyfill_polar_south": Q.q_polyfill_polar_south,
-        "compress_cells": Q.q_compress,
-        "k_ring": Q.q_k_ring,
-        "k_ring_polar": Q.q_k_ring_polar,
-        "cell_geometry": Q.q_cell_geometry,
-        "cell_geometry_r3": Q.q_cell_geometry_r3,
-        "cell_geometry_radians": Q.q_cell_geometry_radians,
-        "raster_sample_global": Q.q_raster_sample_global,
-        "image_pipeline": Q.q_image_pipeline,
-        "hierarchy": Q.q_hierarchy,
-        "successor": Q.q_successor,
-        "validate": Q.q_validate,
-        "minimal_cover": Q.q_minimal_cover,
-        "windowed_counts": Q.q_windowed_counts,
-        "sliding_counts": Q.q_sliding_counts,
-        "running_totals": Q.q_running_totals,
-        "hll_registers": Q.q_hll_registers,
-        "distinct_users": Q.q_distinct_users,
-        "props_parse": Q.q_props_parse,
-        "csv_source": Q.q_csv_source,
-        "regression_stats": Q.q_regression_stats,
-        "table_checksum": Q.q_table_checksum,
-        "compact_files": Q.q_compact_files,
-        "quantiles": Q.q_quantiles,
-        "winsorize": Q.q_winsorize,
-        "asof_join": Q.q_asof_join,
-        "range_join": Q.q_range_join,
-        "spatial_antijoin": Q.q_spatial_antijoin,
-        "linetrace": Q.q_linetrace,
-        "linetrace_polar": Q.q_linetrace_polar,
-        "points_source": Q.q_points_source,
-        "pii_redact": Q.q_pii_redact,
-        "ann_topk_filtered": Q.q_ann_topk_filtered,
-        "aspect_buckets": Q.q_aspect_buckets,
-        "pagerank": Q.q_pagerank,
-        "pagerank_distributed": Q.q_pagerank_distributed,
-        "pareto_docs": Q.q_pareto_docs,
-        "image_augment": Q.q_image_augment,
-        "ewma_user": Q.q_ewma_user,
-        "dissolve": Q.q_dissolve,
-        "line_buffer": Q.q_line_buffer,
-        "semdedup": Q.q_semdedup,
-        "knn_graph": Q.q_knn_graph,
-        "idw_raster": Q.q_idw_raster,
-        "source_cap": Q.q_source_cap,
-        "rknn_counts": Q.q_rknn_counts,
-        "dissolve_rings": Q.q_dissolve_rings,
-        "tile_median": Q.q_tile_median,
-        "oov_rate": Q.q_oov_rate,
-        "grid_flood": Q.q_grid_flood,
-        "tile_hll": Q.q_tile_hll,
-        "quota_sample": Q.q_quota_sample,
-        "image_clusters": Q.q_image_clusters,
-        "image_equalize": Q.q_image_equalize,
-        "adaptive_cover": Q.q_adaptive_cover,
-        "winnow_fingerprint": Q.q_winnow_fingerprint,
-        "range_shards": Q.q_range_shards,
-        "pair_counts": Q.q_pair_counts,
-        "merkle_tiles": Q.q_merkle_tiles,
-        "triangle_count": Q.q_triangle_count,
-        "region_moments": Q.q_region_moments,
-        "dwell_time": Q.q_dwell_time,
-        "impossible_travel": Q.q_impossible_travel,
-        "pruned_scan": Q.q_pruned_scan,
-        "clip_filter": Q.q_clip_filter,
-        "dbscan_cells": Q.q_dbscan_cells,
-        "colocation_pairs": Q.q_colocation_pairs,
-        "home_cells": Q.q_home_cells,
-        "topic_tag": Q.q_topic_tag,
-        "dateline_fence": Q.q_dateline_fence,
-        "group_split": Q.q_group_split,
-        "rendezvous_shards": Q.q_rendezvous_shards,
-        "global_sort": Q.q_global_sort,
-        "quantize_embeddings": Q.q_quantize_embeddings,
-        "gopher_rules": Q.q_gopher_rules,
-        "bigram_score": Q.q_bigram_score,
-        "pq_encode": Q.q_pq_encode,
-        "cost_distance": Q.q_cost_distance,
-        "ann_topk_ivfpq": Q.q_ann_topk_ivfpq,
-        "mmr_rerank": Q.q_mmr_rerank,
-        "zorder_layout": Q.q_zorder_layout,
-        "priority_sample": Q.q_priority_sample,
-        "char_diversity": Q.q_char_diversity,
-        "inverted_index": Q.q_inverted_index,
-        "split_leakage": Q.q_split_leakage,
-        "dedup_keep_best": Q.q_dedup_keep_best,
-        "ann_recall_pq": Q.q_ann_recall_pq,
-        "local_ij": Q.q_local_ij,
-        "dedup_incremental": Q.q_dedup_incremental,
-        "clip_retrieval": Q.q_clip_retrieval,
-        "hotspot_gi": Q.q_hotspot_gi,
-        "snap_to_line": Q.q_snap_to_line,
-        "window_distinct": Q.q_window_distinct,
-        "dataset_profile": Q.q_dataset_profile,
-        "image_keep_best": Q.q_image_keep_best,
-        "tile_modality_balance": Q.q_tile_modality_balance,
-        "cell_edges": Q.q_cell_edges,
-        "geofence_transitions": Q.q_geofence_transitions,
-        "hausdorff": Q.q_hausdorff,
-        "viewshed": Q.q_viewshed,
-        "frechet": Q.q_frechet,
-        "dedup_containment": Q.q_dedup_containment,
-        "simplify_track": Q.q_simplify_track,
-        "map_match": Q.q_map_match,
-        "trip_stats": Q.q_trip_stats,
-        "web_tiles": Q.q_web_tiles,
-        "dup_source_matrix": Q.q_dup_source_matrix,
-        "embedding_norm_outliers": Q.q_embedding_norm_outliers,
-        "survival_curve": Q.q_survival_curve,
-        "ngram_novelty": Q.q_ngram_novelty,
-        "tile_gini": Q.q_tile_gini,
-        "heading_histogram": Q.q_heading_histogram,
-        "acf_lag": Q.q_acf_lag,
-        "cusum_changepoint": Q.q_cusum_changepoint,
-        "geohash_encode": Q.q_geohash_encode,
-        "tile_similarity": Q.q_tile_similarity,
-        "common_neighbors": Q.q_common_neighbors,
-        "k_core": Q.q_k_core,
-        "markov_transitions": Q.q_markov_transitions,
-        "zipf_slope": Q.q_zipf_slope,
-        "convex_hull": Q.q_convex_hull,
-        "hybrid_rank": Q.q_hybrid_rank,
-        "session_entropy": Q.q_session_entropy,
-        "tile_burst": Q.q_tile_burst,
-        "kde_raster": Q.q_kde_raster,
-        "ndcg_eval": Q.q_ndcg_eval,
-        "pca_power": Q.q_pca_power,
-        "tile_trigrams": Q.q_tile_trigrams,
-        "mobility_entropy": Q.q_mobility_entropy,
-        "tile_forecast": Q.q_tile_forecast,
-        "decision_stump": Q.q_decision_stump,
-        "ab_test": Q.q_ab_test,
-        "distance_decay": Q.q_distance_decay,
-        "bootstrap_ci": Q.q_bootstrap_ci,
-        "cohens_kappa": Q.q_cohens_kappa,
-        "attribution": Q.q_attribution,
-        "ann_ivf_persisted": Q.q_ann_ivf_persisted,
-        "ann_ivf_ckpt": Q.q_ann_ivf_ckpt,
-        "minhash_calibration": Q.q_minhash_calibration,
-        "join_counts": Q.q_join_counts,
-        "image_tile_locality": Q.q_image_tile_locality,
-        "tile_scan_stat": Q.q_tile_scan_stat,
-        "audio_features": Q.q_audio_features,
-        "video_frame_stats": Q.q_video_frame_stats,
-        "video_scene_cuts": Q.q_video_scene_cuts,
-        "audio_neardup": Q.q_audio_neardup,
-        "time_travel": Q.q_time_travel,
-        "schema_evolution": Q.q_schema_evolution,
-        "tile_cross_density": Q.q_tile_cross_density,
-        "psi_drift": Q.q_psi_drift,
-        "collocations": Q.q_collocations,
-        "coverage_gaps": Q.q_coverage_gaps,
-        "tile_affinity": Q.q_tile_affinity,
-        "ltv_cohorts": Q.q_ltv_cohorts,
-        "image_curation": Q.q_image_curation,
-        "dedup_consensus": Q.q_dedup_consensus,
-        "tile_conversion": Q.q_tile_conversion,
-        "tile_weekend_shift": Q.q_tile_weekend_shift,
-        "tile_peak_hour": Q.q_tile_peak_hour,
-        "tile_anomaly_days": Q.q_tile_anomaly_days,
-        "image_row_profile": Q.q_image_row_profile,
-        "hive_partitioned_source": Q.q_hive_partitioned_source,
-        "ks_test": Q.q_ks_test,
-        "random_walks": Q.q_random_walks,
-        "assoc_rules": Q.q_assoc_rules,
-        "haar_energy": Q.q_haar_energy,
-        "source_centroid_shift": Q.q_source_centroid_shift,
-        "vopt_bins": Q.q_vopt_bins,
-        "lof_outliers": Q.q_lof_outliers,
-        "spectral_partition": Q.q_spectral_partition,
-        "eb_shrinkage": Q.q_eb_shrinkage,
-        "target_encoding": Q.q_target_encoding,
-        "facility_placement": Q.q_facility_placement,
-        "emd_1d": Q.q_emd_1d,
-        "quarantine_sink": Q.q_quarantine_sink,
-        "gw_mean": Q.q_gw_mean,
-        "chi_square": Q.q_chi_square,
-        "influence_spread": Q.q_influence_spread,
-        "hilbert_layout": Q.q_hilbert_layout,
-        "rfm_segments": Q.q_rfm_segments,
-        "degree_assortativity": Q.q_degree_assortativity,
-        "negative_samples": Q.q_negative_samples,
-        "holt_lite": Q.q_holt_lite,
-        "mann_kendall": Q.q_mann_kendall,
-        "theil_sen": Q.q_theil_sen,
-        "tile_pmi": Q.q_tile_pmi,
-        "clustering_coeff": Q.q_clustering_coeff,
-        "odds_ratio": Q.q_odds_ratio,
-        "hillshade": Q.q_hillshade,
-        "flow_acc": Q.q_flow_acc,
-        "semivariogram": Q.q_semivariogram,
-        "ripley_k": Q.q_ripley_k,
-        "watershed": Q.q_watershed,
-        "tpi_tri": Q.q_tpi_tri,
-        "strahler_order": Q.q_strahler_order,
-        "corr_matrix": Q.q_corr_matrix,
-        "benford_test": Q.q_benford_test,
-        "readability": Q.q_readability,
-        "naive_bayes": Q.q_naive_bayes,
-        "mad_outliers": Q.q_mad_outliers,
-        "npy_source": Q.q_npy_source,
-        "nb_confusion": Q.q_nb_confusion,
-        "circular_stats": Q.q_circular_stats,
-        "quadrat_test": Q.q_quadrat_test,
-        "simpson_diversity": Q.q_simpson_diversity,
-        "binseg_changepoint": Q.q_binseg_changepoint,
-        "extreme_values": Q.q_extreme_values,
-        "giant_component": Q.q_giant_component,
-        "fano_factor": Q.q_fano_factor,
-        "sprt_monitor": Q.q_sprt_monitor,
-        "graph_bfs": Q.q_graph_bfs,
-        "diff_in_diff": Q.q_diff_in_diff,
-        "elbow_point": Q.q_elbow_point,
-        "hill_tail": Q.q_hill_tail,
-        "hurst_exponent": Q.q_hurst_exponent,
-        "permutation_test": Q.q_permutation_test,
-        "image_gamma": Q.q_image_gamma,
-        "rowgroup_stats": Q.q_rowgroup_stats,
-        "matryoshka_quality": Q.q_matryoshka_quality,
-        "entropy_rate": Q.q_entropy_rate,
-        "coverage_curve": Q.q_coverage_curve,
-        "staypoints": Q.q_staypoints,
-        "dow_seasonality": Q.q_dow_seasonality,
-        "uplift_by_bucket": Q.q_uplift_by_bucket,
-        "kmv_join_estimate": Q.q_kmv_join_estimate,
-        "cross_correlation": Q.q_cross_correlation,
-        "peak_detection": Q.q_peak_detection,
-        "eigencentrality": Q.q_eigencentrality,
-        "unigram_ppl": Q.q_unigram_ppl,
-        "interevent_burstiness": Q.q_interevent_burstiness,
-        "heaps_law": Q.q_heaps_law,
-        "gearys_c": Q.q_gearys_c,
-        "adamic_adar": Q.q_adamic_adar,
-        "image_sharpness": Q.q_image_sharpness,
-        "shuffle_mix": Q.q_shuffle_mix,
-        "cluster_purity": Q.q_cluster_purity,
-        "conformal_interval": Q.q_conformal_interval,
-        "k_anonymity": Q.q_k_anonymity,
-        "graph_modularity": Q.q_graph_modularity,
-        "cvm_test": Q.q_cvm_test,
-        "rolling_slope": Q.q_rolling_slope,
-        "bilinear_resample": Q.q_bilinear_resample,
-        "durbin_watson": Q.q_durbin_watson,
-        "dtw_daily": Q.q_dtw_daily,
-        "permutation_entropy": Q.q_permutation_entropy,
-        "arm_kl": Q.q_arm_kl,
-        "spearman_rho": Q.q_spearman_rho,
-        "theil_decomposition": Q.q_theil_decomposition,
-        "nb_mcc": Q.q_nb_mcc,
-        "revisit_rate": Q.q_revisit_rate,
-        "pq_codebook_usage": Q.q_pq_codebook_usage,
-        "band_depth": Q.q_band_depth,
-        "grubbs_test": Q.q_grubbs_test,
-        "runs_test": Q.q_runs_test,
-        "lin_ccc": Q.q_lin_ccc,
-        "k_truss": Q.q_k_truss,
-        "qq_slope": Q.q_qq_slope,
-        "wilcoxon_u": Q.q_wilcoxon_u,
-        "l_moments": Q.q_l_moments,
-        "friedman_test": Q.q_friedman_test,
-        "customers_without_orders": Q.q_customers_without_orders,
-        "payload_audit": Q.q_payload_audit,
-        "rich_club": Q.q_rich_club,
-        "diurnal_vector": Q.q_diurnal_vector,
-        "price_index": Q.q_price_index,
-        "cramers_v": Q.q_cramers_v,
-        "tail_dependence": Q.q_tail_dependence,
-        "cointegration_dw": Q.q_cointegration_dw,
-        "transfer_entropy": Q.q_transfer_entropy,
-        "active_day_jaccard": Q.q_active_day_jaccard,
-        "image_entropy": Q.q_image_entropy,
-        "caption_alignment": Q.q_caption_alignment,
-        "dedup_coverage": Q.q_dedup_coverage,
-        "embedding_isotropy": Q.q_embedding_isotropy,
-        "phash_bit_balance": Q.q_phash_bit_balance,
-        "degree_histogram": Q.q_degree_histogram,
-        "box_dimension": Q.q_box_dimension,
-        "max_drawdown": Q.q_max_drawdown,
-        "contour_crossings": Q.q_contour_crossings,
-        "tile_jsd": Q.q_tile_jsd,
-        "events_to_convert": Q.q_events_to_convert,
-        "channel_ratio": Q.q_channel_ratio,
-        "dau_wau": Q.q_dau_wau,
-        "tile_recency": Q.q_tile_recency,
-        "weekend_lift": Q.q_weekend_lift,
-        "conversion_latency": Q.q_conversion_latency,
-        "mde_estimate": Q.q_mde_estimate,
-        "reorder_gaps": Q.q_reorder_gaps,
-        "ship_lag": Q.q_ship_lag,
-        "abc_analysis": Q.q_abc_analysis,
-        "new_vs_returning": Q.q_new_vs_returning,
-        "brand_hhi": Q.q_brand_hhi,
-        "repeat_spend_corr": Q.q_repeat_spend_corr,
-        "zero_support_edges": Q.q_zero_support_edges,
-        "palma_ratio": Q.q_palma_ratio,
-        "lag_lead_matrix": Q.q_lag_lead_matrix,
-        "daily_p95": Q.q_daily_p95,
-        "binary_source": Q.q_binary_source,
-        "simhash_clusters": Q.q_simhash_clusters,
-        "tile_change": Q.q_tile_change,
-        "shipping_priority": Q.q_shipping_priority,
-        "cells_from_region": Q.q_cells_from_region,
-        "cells_from_region_polar": Q.q_cells_from_region_polar,
-        "cells_from_parallel": Q.q_cells_from_parallel,
-        "cells_from_parallel_polar": Q.q_cells_from_parallel_polar,
-        "cell_latitudes": Q.q_cell_latitudes,
-        "cells_from_meridian": Q.q_cells_from_meridian,
-        "knn_rings": Q.q_knn_rings,
-        "resumable_tiling": Q.q_resumable_tiling,
-        "image_features": Q.q_image_features,
-        "image_patches": Q.q_image_patches,
-        "image_neardup": Q.q_image_neardup,
-        "multimodal_neardup": Q.q_multimodal_neardup,
-        "cell_stats": Q.q_cell_stats,
-        "tile_counts_salted": Q.q_tile_counts_salted,
-        "cell_from_region": Q.q_cell_from_region,
-        "predecessor": Q.q_predecessor,
-        "interval": Q.q_interval,
-        "suid_rowcol": Q.q_suid_rowcol,
-        "num_cells": Q.q_num_cells,
-        "xy_range": Q.q_xy_range,
-        "cell_boundary": Q.q_cell_boundary,
-        "cell_interior": Q.q_cell_interior,
-        "cell_contains": Q.q_cell_contains,
-        "cell_overlaps": Q.q_cell_overlaps,
-        "random_cells": Q.q_random_cells,
-        "random_points": Q.q_random_points,
-        "cell_zone": Q.q_cell_zone,
-        "split_assign": Q.q_split_assign,
-        "pivot_events": Q.q_pivot_events,
-        "user_setops": Q.q_user_setops,
-        "json_source": Q.q_json_source,
-        "pack_sequences": Q.q_pack_sequences,
-        "focal_stats": Q.q_focal_stats,
-        "bloom_decontaminate": Q.q_bloom_decontaminate,
-        "percentile_rank": Q.q_percentile_rank,
-        "cms_heavy_hitters": Q.q_cms_heavy_hitters,
-        "left_join_orders": Q.q_left_join_orders,
-        "bm25_topk": Q.q_bm25_topk,
-        "distance_join": Q.q_distance_join,
-        "funnel": Q.q_funnel,
-        "ttr": Q.q_ttr,
-        "count_of_counts": Q.q_count_of_counts,
-        "image_mosaic": Q.q_image_mosaic,
-        "trajectory_segments": Q.q_trajectory_segments,
-        "anomaly_filter": Q.q_anomaly_filter,
-        "rollup_revenue": Q.q_rollup_revenue,
-        "cap_cover": Q.q_cap_cover,
-        "cooccurrence": Q.q_cooccurrence,
-        "constraint_audit": Q.q_constraint_audit,
-        "image_quality_filter": Q.q_image_quality_filter,
-        "image_pyramid": Q.q_image_pyramid,
-        "window_join": Q.q_window_join,
-        "page_orders": Q.q_page_orders,
-        "dedup_editdist": Q.q_dedup_editdist,
-        "ann_recall": Q.q_ann_recall,
-        "incremental_merge": Q.q_incremental_merge,
-        "bpe_pairs": Q.q_bpe_pairs,
-        "uncompact_cells": Q.q_uncompact_cells,
-        "grid_distance": Q.q_grid_distance,
-        "grid_path": Q.q_grid_path,
-        "snapshot_diff": Q.q_snapshot_diff,
-        "polars_source": Q.q_polars_source,
-        "space_time_cube": Q.q_space_time_cube,
-        "moving_avg": Q.q_moving_avg,
-        "late_events": Q.q_late_events,
-        "full_outer_days": Q.q_full_outer_days,
-        "rank_orders": Q.q_rank_orders,
-        "dup_spans": Q.q_dup_spans,
-        "vector_tiles": Q.q_vector_tiles,
-        "length_buckets": Q.q_length_buckets,
-        "mixture_weights": Q.q_mixture_weights,
-        "zscore_events": Q.q_zscore_events,
-        "polygon_overlay": Q.q_polygon_overlay,
-        "morans_i": Q.q_morans_i,
-        "kmeans_train": Q.q_kmeans_train,
-        "debounce": Q.q_debounce,
-        "user_gini": Q.q_user_gini,
-        "image_retention": Q.q_image_retention,
-        "nearest_poi": Q.q_nearest_poi,
-        "generator_source": Q.q_generator_source,
-        "brand_nation_revenue": Q.q_brand_nation_revenue,
-        "mixed_res_counts": Q.q_mixed_res_counts,
-        "od_matrix": Q.q_od_matrix,
-        "cube_revenue": Q.q_cube_revenue,
-        "contrastive_pairs": Q.q_contrastive_pairs,
-        "hourly_profile": Q.q_hourly_profile,
-        "monthly_orders": Q.q_monthly_orders,
-        "retention_cohorts": Q.q_retention_cohorts,
-    }
+    for name in dir(Q):
+        if name.startswith("q_"):
+            stem = name[2:]
+            key, sql_stem = _KEY_AND_ORACLE.get(stem, (stem, stem))
+            yield key, getattr(Q, name), getattr(Q, "sql_" + sql_stem)
+
+
+def queries() -> dict[str, Callable[[str], Any]]:
+    return {key: q for key, q, _ in _registry()}
 
 
 def oracle_sql() -> dict[str, str]:
-    from rhealpixdggs_py_ray.pipelines import queries as Q
-
-    return {
-        "cell_from_point": Q.sql_cell_from_point(),
-        "cell_from_point_lon0": Q.sql_cell_from_point_lon0(),
-        "cell_from_point_shifted": Q.sql_cell_from_point_shifted(),
-        "cell_from_point_nside2": Q.sql_cell_from_point_nside2(),
-        "cell_from_point_ns12": Q.sql_cell_from_point_ns12(),
-        "cell_from_point_radians": Q.sql_cell_from_point_radians(),
-        "cell_from_point_unit": Q.sql_cell_from_point_unit(),
-        "cell_color": Q.sql_cell_color(),
-        "tile_counts": Q.sql_tile_counts(),
-        "tile_pyramid": Q.sql_tile_pyramid(),
-        "spatial_join_bbox": Q.sql_spatial_join_bbox(),
-        "zonal_stats": Q.sql_zonal_stats(),
-        "grid": Q.sql_grid(),
-        "grid_ul_r4": Q.sql_grid_ul_r4(),
-        "knn": Q.sql_knn(),
-        "agg_lineitem": Q.sql_agg_lineitem(),
-        "join_customer_nation": Q.sql_join_customer_nation(),
-        "priority_revenue": Q.sql_priority_revenue(),
-        "nation_revenue": Q.sql_nation_revenue(),
-        "topk_orders": Q.sql_topk_orders(),
-        "topk_per_group": Q.sql_topk_per_group(),
-        "dedup_exact": Q.sql_dedup_exact(),
-        "dedup_normalized": Q.sql_dedup_normalized(),
-        "curate": Q.sql_curate(),
-        "token_stats": Q.sql_token_stats(),
-        "chunk_docs": Q.sql_chunk_docs(),
-        "sample_stratified": Q.sql_sample_stratified(),
-        "sample_bottomk": Q.sql_sample_bottomk(),
-        "vocab": Q.sql_vocab(),
-        "salient_terms": Q.sql_salient_terms(),
-        "decontaminate": Q.sql_decontaminate(),
-        "repetition": Q.sql_repetition(),
-        "sessions": Q.sql_sessions(),
-        "dedup_minhash_lsh": Q.sql_minhash_lsh(),
-        "dedup_clusters": Q.sql_dedup_clusters(),
-        "dedup_simhash": Q.sql_simhash(),
-        "dedup_ngram_jaccard": Q.sql_ngram_jaccard(),
-        "dedup_embedding": Q.sql_embedding_dedup(),
-        "dedup_embedding_lsh": Q.sql_embedding_dedup_lsh(),
-        "embedding_centroids": Q.sql_embedding_centroids(),
-        "embedding_gram": Q.sql_embedding_gram(),
-        "nearest_centroid": Q.sql_nearest_centroid(),
-        "kmeans_step": Q.sql_kmeans_step(),
-        "ann_topk": Q.sql_ann_topk(),
-        "ann_topk_lsh": Q.sql_ann_topk_lsh(),
-        "ann_topk_ivf": Q.sql_ann_topk_ivf(),
-        "lang_id": Q.sql_lang_id(),
-        "quality_score": Q.sql_quality(),
-        "label_quality": Q.sql_label_quality(),
-        "fingerprint": Q.sql_fingerprint(),
-        "polyfill": Q.sql_polyfill(),
-        "polyfill_polar": Q.sql_polyfill_polar(),
-        "compress_polar": Q.sql_compress_polar(),
-        "polyfill_polar_ns12": Q.sql_polyfill_polar_ns12(),
-        "polyfill_polar_south": Q.sql_polyfill_polar_south(),
-        "k_ring": Q.sql_k_ring(),
-        "k_ring_polar": Q.sql_k_ring_polar(),
-        "knn_rings": Q.sql_knn(),
-        "compress_cells": Q.sql_compress(),
-        "cells_from_region": Q.sql_cells_from_region(),
-        "cells_from_region_polar": Q.sql_cells_from_region_polar(),
-        "cells_from_parallel": Q.sql_cells_from_parallel(),
-        "cells_from_parallel_polar": Q.sql_cells_from_parallel_polar(),
-        "cell_latitudes": Q.sql_cell_latitudes(),
-        "cells_from_meridian": Q.sql_cells_from_meridian(),
-        "cell_geometry": Q.sql_cell_geometry(),
-        "cell_geometry_r3": Q.sql_cell_geometry_r3(),
-        "cell_geometry_radians": Q.sql_cell_geometry_radians(),
-        "raster_sample_global": Q.sql_raster_sample_global(),
-        "hierarchy": Q.sql_hierarchy(),
-        "successor": Q.sql_successor(),
-        "validate": Q.sql_validate(),
-        "minimal_cover": Q.sql_minimal_cover(),
-        "windowed_counts": Q.sql_windowed_counts(),
-        "sliding_counts": Q.sql_sliding_counts(),
-        "running_totals": Q.sql_running_totals(),
-        "hll_registers": Q.sql_hll_registers(),
-        "distinct_users": Q.sql_distinct_users(),
-        "props_parse": Q.sql_props_parse(),
-        "csv_source": Q.sql_csv_source(),
-        "regression_stats": Q.sql_regression_stats(),
-        "table_checksum": Q.sql_table_checksum(),
-        "compact_files": Q.sql_compact_files(),
-        "quantiles": Q.sql_quantiles(),
-        "winsorize": Q.sql_winsorize(),
-        "asof_join": Q.sql_asof_join(),
-        "range_join": Q.sql_range_join(),
-        "spatial_antijoin": Q.sql_spatial_antijoin(),
-        "resumable_tiling": Q.sql_resumable_tiling(),
-        "cell_stats": Q.sql_cell_stats(),
-        "tile_counts_salted": Q.sql_tile_counts(),
-        "cell_from_region": Q.sql_cell_from_region(),
-        "linetrace": Q.sql_linetrace(),
-        "linetrace_polar": Q.sql_linetrace_polar(),
-        "points_source": Q.sql_points_source(),
-        "pii_redact": Q.sql_pii_redact(),
-        "ann_topk_filtered": Q.sql_ann_topk_filtered(),
-        "aspect_buckets": Q.sql_aspect_buckets(),
-        "pagerank": Q.sql_pagerank(),
-        "pagerank_distributed": Q.sql_pagerank_distributed(),
-        "pareto_docs": Q.sql_pareto_docs(),
-        "image_augment": Q.sql_image_augment(),
-        "ewma_user": Q.sql_ewma_user(),
-        "dissolve": Q.sql_dissolve(),
-        "line_buffer": Q.sql_line_buffer(),
-        "semdedup": Q.sql_semdedup(),
-        "knn_graph": Q.sql_knn_graph(),
-        "idw_raster": Q.sql_idw_raster(),
-        "source_cap": Q.sql_source_cap(),
-        "rknn_counts": Q.sql_rknn_counts(),
-        "dissolve_rings": Q.sql_dissolve_rings(),
-        "tile_median": Q.sql_tile_median(),
-        "oov_rate": Q.sql_oov_rate(),
-        "grid_flood": Q.sql_grid_flood(),
-        "tile_hll": Q.sql_tile_hll(),
-        "quota_sample": Q.sql_quota_sample(),
-        "image_clusters": Q.sql_image_clusters(),
-        "image_equalize": Q.sql_image_equalize(),
-        "adaptive_cover": Q.sql_adaptive_cover(),
-        "winnow_fingerprint": Q.sql_winnow_fingerprint(),
-        "range_shards": Q.sql_range_shards(),
-        "pair_counts": Q.sql_pair_counts(),
-        "merkle_tiles": Q.sql_merkle_tiles(),
-        "triangle_count": Q.sql_triangle_count(),
-        "region_moments": Q.sql_region_moments(),
-        "dwell_time": Q.sql_dwell_time(),
-        "impossible_travel": Q.sql_impossible_travel(),
-        "pruned_scan": Q.sql_pruned_scan(),
-        "clip_filter": Q.sql_clip_filter(),
-        "dbscan_cells": Q.sql_dbscan_cells(),
-        "colocation_pairs": Q.sql_colocation_pairs(),
-        "home_cells": Q.sql_home_cells(),
-        "topic_tag": Q.sql_topic_tag(),
-        "dateline_fence": Q.sql_dateline_fence(),
-        "group_split": Q.sql_group_split(),
-        "rendezvous_shards": Q.sql_rendezvous_shards(),
-        "global_sort": Q.sql_global_sort(),
-        "quantize_embeddings": Q.sql_quantize_embeddings(),
-        "gopher_rules": Q.sql_gopher_rules(),
-        "bigram_score": Q.sql_bigram_score(),
-        "pq_encode": Q.sql_pq_encode(),
-        "cost_distance": Q.sql_cost_distance(),
-        "ann_topk_ivfpq": Q.sql_ann_topk_ivfpq(),
-        "mmr_rerank": Q.sql_mmr_rerank(),
-        "zorder_layout": Q.sql_zorder_layout(),
-        "priority_sample": Q.sql_priority_sample(),
-        "char_diversity": Q.sql_char_diversity(),
-        "inverted_index": Q.sql_inverted_index(),
-        "split_leakage": Q.sql_split_leakage(),
-        "dedup_keep_best": Q.sql_dedup_keep_best(),
-        "ann_recall_pq": Q.sql_ann_recall_pq(),
-        "local_ij": Q.sql_local_ij(),
-        "dedup_incremental": Q.sql_dedup_incremental(),
-        "clip_retrieval": Q.sql_clip_retrieval(),
-        "hotspot_gi": Q.sql_hotspot_gi(),
-        "snap_to_line": Q.sql_snap_to_line(),
-        "window_distinct": Q.sql_window_distinct(),
-        "dataset_profile": Q.sql_dataset_profile(),
-        "image_keep_best": Q.sql_image_keep_best(),
-        "tile_modality_balance": Q.sql_tile_modality_balance(),
-        "cell_edges": Q.sql_cell_edges(),
-        "geofence_transitions": Q.sql_geofence_transitions(),
-        "hausdorff": Q.sql_hausdorff(),
-        "viewshed": Q.sql_viewshed(),
-        "frechet": Q.sql_frechet(),
-        "dedup_containment": Q.sql_dedup_containment(),
-        "simplify_track": Q.sql_simplify_track(),
-        "map_match": Q.sql_map_match(),
-        "trip_stats": Q.sql_trip_stats(),
-        "web_tiles": Q.sql_web_tiles(),
-        "dup_source_matrix": Q.sql_dup_source_matrix(),
-        "embedding_norm_outliers": Q.sql_embedding_norm_outliers(),
-        "survival_curve": Q.sql_survival_curve(),
-        "ngram_novelty": Q.sql_ngram_novelty(),
-        "tile_gini": Q.sql_tile_gini(),
-        "heading_histogram": Q.sql_heading_histogram(),
-        "acf_lag": Q.sql_acf_lag(),
-        "cusum_changepoint": Q.sql_cusum_changepoint(),
-        "geohash_encode": Q.sql_geohash_encode(),
-        "tile_similarity": Q.sql_tile_similarity(),
-        "common_neighbors": Q.sql_common_neighbors(),
-        "k_core": Q.sql_k_core(),
-        "markov_transitions": Q.sql_markov_transitions(),
-        "zipf_slope": Q.sql_zipf_slope(),
-        "convex_hull": Q.sql_convex_hull(),
-        "hybrid_rank": Q.sql_hybrid_rank(),
-        "session_entropy": Q.sql_session_entropy(),
-        "tile_burst": Q.sql_tile_burst(),
-        "kde_raster": Q.sql_kde_raster(),
-        "ndcg_eval": Q.sql_ndcg_eval(),
-        "pca_power": Q.sql_pca_power(),
-        "tile_trigrams": Q.sql_tile_trigrams(),
-        "mobility_entropy": Q.sql_mobility_entropy(),
-        "tile_forecast": Q.sql_tile_forecast(),
-        "decision_stump": Q.sql_decision_stump(),
-        "ab_test": Q.sql_ab_test(),
-        "distance_decay": Q.sql_distance_decay(),
-        "bootstrap_ci": Q.sql_bootstrap_ci(),
-        "cohens_kappa": Q.sql_cohens_kappa(),
-        "attribution": Q.sql_attribution(),
-        "ann_ivf_persisted": Q.sql_ann_ivf_persisted(),
-        "ann_ivf_ckpt": Q.sql_ann_ivf_ckpt(),
-        "minhash_calibration": Q.sql_minhash_calibration(),
-        "join_counts": Q.sql_join_counts(),
-        "image_tile_locality": Q.sql_image_tile_locality(),
-        "tile_scan_stat": Q.sql_tile_scan_stat(),
-        "audio_features": Q.sql_audio_features(),
-        "video_frame_stats": Q.sql_video_frame_stats(),
-        "video_scene_cuts": Q.sql_video_scene_cuts(),
-        "audio_neardup": Q.sql_audio_neardup(),
-        "time_travel": Q.sql_time_travel(),
-        "schema_evolution": Q.sql_schema_evolution(),
-        "tile_cross_density": Q.sql_tile_cross_density(),
-        "psi_drift": Q.sql_psi_drift(),
-        "collocations": Q.sql_collocations(),
-        "coverage_gaps": Q.sql_coverage_gaps(),
-        "tile_affinity": Q.sql_tile_affinity(),
-        "ltv_cohorts": Q.sql_ltv_cohorts(),
-        "image_curation": Q.sql_image_curation(),
-        "dedup_consensus": Q.sql_dedup_consensus(),
-        "tile_conversion": Q.sql_tile_conversion(),
-        "tile_weekend_shift": Q.sql_tile_weekend_shift(),
-        "tile_peak_hour": Q.sql_tile_peak_hour(),
-        "tile_anomaly_days": Q.sql_tile_anomaly_days(),
-        "image_row_profile": Q.sql_image_row_profile(),
-        "hive_partitioned_source": Q.sql_hive_partitioned_source(),
-        "ks_test": Q.sql_ks_test(),
-        "random_walks": Q.sql_random_walks(),
-        "assoc_rules": Q.sql_assoc_rules(),
-        "haar_energy": Q.sql_haar_energy(),
-        "source_centroid_shift": Q.sql_source_centroid_shift(),
-        "vopt_bins": Q.sql_vopt_bins(),
-        "lof_outliers": Q.sql_lof_outliers(),
-        "spectral_partition": Q.sql_spectral_partition(),
-        "eb_shrinkage": Q.sql_eb_shrinkage(),
-        "target_encoding": Q.sql_target_encoding(),
-        "facility_placement": Q.sql_facility_placement(),
-        "emd_1d": Q.sql_emd_1d(),
-        "quarantine_sink": Q.sql_quarantine_sink(),
-        "gw_mean": Q.sql_gw_mean(),
-        "chi_square": Q.sql_chi_square(),
-        "influence_spread": Q.sql_influence_spread(),
-        "hilbert_layout": Q.sql_hilbert_layout(),
-        "rfm_segments": Q.sql_rfm_segments(),
-        "degree_assortativity": Q.sql_degree_assortativity(),
-        "negative_samples": Q.sql_negative_samples(),
-        "holt_lite": Q.sql_holt_lite(),
-        "mann_kendall": Q.sql_mann_kendall(),
-        "theil_sen": Q.sql_theil_sen(),
-        "tile_pmi": Q.sql_tile_pmi(),
-        "clustering_coeff": Q.sql_clustering_coeff(),
-        "odds_ratio": Q.sql_odds_ratio(),
-        "hillshade": Q.sql_hillshade(),
-        "flow_acc": Q.sql_flow_acc(),
-        "semivariogram": Q.sql_semivariogram(),
-        "ripley_k": Q.sql_ripley_k(),
-        "watershed": Q.sql_watershed(),
-        "tpi_tri": Q.sql_tpi_tri(),
-        "strahler_order": Q.sql_strahler_order(),
-        "corr_matrix": Q.sql_corr_matrix(),
-        "benford_test": Q.sql_benford_test(),
-        "readability": Q.sql_readability(),
-        "naive_bayes": Q.sql_naive_bayes(),
-        "mad_outliers": Q.sql_mad_outliers(),
-        "npy_source": Q.sql_npy_source(),
-        "nb_confusion": Q.sql_nb_confusion(),
-        "circular_stats": Q.sql_circular_stats(),
-        "quadrat_test": Q.sql_quadrat_test(),
-        "simpson_diversity": Q.sql_simpson_diversity(),
-        "binseg_changepoint": Q.sql_binseg_changepoint(),
-        "extreme_values": Q.sql_extreme_values(),
-        "giant_component": Q.sql_giant_component(),
-        "fano_factor": Q.sql_fano_factor(),
-        "sprt_monitor": Q.sql_sprt_monitor(),
-        "graph_bfs": Q.sql_graph_bfs(),
-        "diff_in_diff": Q.sql_diff_in_diff(),
-        "elbow_point": Q.sql_elbow_point(),
-        "hill_tail": Q.sql_hill_tail(),
-        "hurst_exponent": Q.sql_hurst_exponent(),
-        "permutation_test": Q.sql_permutation_test(),
-        "image_gamma": Q.sql_image_gamma(),
-        "rowgroup_stats": Q.sql_rowgroup_stats(),
-        "matryoshka_quality": Q.sql_matryoshka_quality(),
-        "entropy_rate": Q.sql_entropy_rate(),
-        "coverage_curve": Q.sql_coverage_curve(),
-        "staypoints": Q.sql_staypoints(),
-        "dow_seasonality": Q.sql_dow_seasonality(),
-        "uplift_by_bucket": Q.sql_uplift_by_bucket(),
-        "kmv_join_estimate": Q.sql_kmv_join_estimate(),
-        "cross_correlation": Q.sql_cross_correlation(),
-        "peak_detection": Q.sql_peak_detection(),
-        "eigencentrality": Q.sql_eigencentrality(),
-        "unigram_ppl": Q.sql_unigram_ppl(),
-        "interevent_burstiness": Q.sql_interevent_burstiness(),
-        "heaps_law": Q.sql_heaps_law(),
-        "gearys_c": Q.sql_gearys_c(),
-        "adamic_adar": Q.sql_adamic_adar(),
-        "image_sharpness": Q.sql_image_sharpness(),
-        "shuffle_mix": Q.sql_shuffle_mix(),
-        "cluster_purity": Q.sql_cluster_purity(),
-        "conformal_interval": Q.sql_conformal_interval(),
-        "k_anonymity": Q.sql_k_anonymity(),
-        "graph_modularity": Q.sql_graph_modularity(),
-        "cvm_test": Q.sql_cvm_test(),
-        "rolling_slope": Q.sql_rolling_slope(),
-        "bilinear_resample": Q.sql_bilinear_resample(),
-        "durbin_watson": Q.sql_durbin_watson(),
-        "dtw_daily": Q.sql_dtw_daily(),
-        "permutation_entropy": Q.sql_permutation_entropy(),
-        "arm_kl": Q.sql_arm_kl(),
-        "spearman_rho": Q.sql_spearman_rho(),
-        "theil_decomposition": Q.sql_theil_decomposition(),
-        "nb_mcc": Q.sql_nb_mcc(),
-        "revisit_rate": Q.sql_revisit_rate(),
-        "pq_codebook_usage": Q.sql_pq_codebook_usage(),
-        "band_depth": Q.sql_band_depth(),
-        "grubbs_test": Q.sql_grubbs_test(),
-        "runs_test": Q.sql_runs_test(),
-        "lin_ccc": Q.sql_lin_ccc(),
-        "k_truss": Q.sql_k_truss(),
-        "qq_slope": Q.sql_qq_slope(),
-        "wilcoxon_u": Q.sql_wilcoxon_u(),
-        "l_moments": Q.sql_l_moments(),
-        "friedman_test": Q.sql_friedman_test(),
-        "customers_without_orders": Q.sql_customers_without_orders(),
-        "payload_audit": Q.sql_payload_audit(),
-        "rich_club": Q.sql_rich_club(),
-        "diurnal_vector": Q.sql_diurnal_vector(),
-        "price_index": Q.sql_price_index(),
-        "cramers_v": Q.sql_cramers_v(),
-        "tail_dependence": Q.sql_tail_dependence(),
-        "cointegration_dw": Q.sql_cointegration_dw(),
-        "transfer_entropy": Q.sql_transfer_entropy(),
-        "active_day_jaccard": Q.sql_active_day_jaccard(),
-        "image_entropy": Q.sql_image_entropy(),
-        "caption_alignment": Q.sql_caption_alignment(),
-        "dedup_coverage": Q.sql_dedup_coverage(),
-        "embedding_isotropy": Q.sql_embedding_isotropy(),
-        "phash_bit_balance": Q.sql_phash_bit_balance(),
-        "degree_histogram": Q.sql_degree_histogram(),
-        "box_dimension": Q.sql_box_dimension(),
-        "max_drawdown": Q.sql_max_drawdown(),
-        "contour_crossings": Q.sql_contour_crossings(),
-        "tile_jsd": Q.sql_tile_jsd(),
-        "events_to_convert": Q.sql_events_to_convert(),
-        "channel_ratio": Q.sql_channel_ratio(),
-        "dau_wau": Q.sql_dau_wau(),
-        "tile_recency": Q.sql_tile_recency(),
-        "weekend_lift": Q.sql_weekend_lift(),
-        "conversion_latency": Q.sql_conversion_latency(),
-        "mde_estimate": Q.sql_mde_estimate(),
-        "reorder_gaps": Q.sql_reorder_gaps(),
-        "ship_lag": Q.sql_ship_lag(),
-        "abc_analysis": Q.sql_abc_analysis(),
-        "new_vs_returning": Q.sql_new_vs_returning(),
-        "brand_hhi": Q.sql_brand_hhi(),
-        "repeat_spend_corr": Q.sql_repeat_spend_corr(),
-        "zero_support_edges": Q.sql_zero_support_edges(),
-        "palma_ratio": Q.sql_palma_ratio(),
-        "lag_lead_matrix": Q.sql_lag_lead_matrix(),
-        "daily_p95": Q.sql_daily_p95(),
-        "binary_source": Q.sql_binary_source(),
-        "simhash_clusters": Q.sql_simhash_clusters(),
-        "tile_change": Q.sql_tile_change(),
-        "shipping_priority": Q.sql_shipping_priority(),
-        "predecessor": Q.sql_predecessor(),
-        "interval": Q.sql_interval(),
-        "suid_rowcol": Q.sql_suid_rowcol(),
-        "num_cells": Q.sql_num_cells(),
-        "xy_range": Q.sql_xy_range(),
-        "cell_boundary": Q.sql_cell_boundary(),
-        "cell_interior": Q.sql_cell_interior(),
-        "cell_contains": Q.sql_cell_contains(),
-        "cell_overlaps": Q.sql_cell_overlaps(),
-        "random_cells": Q.sql_random_cells(),
-        "random_points": Q.sql_random_points(),
-        "cell_zone": Q.sql_cell_zone(),
-        "split_assign": Q.sql_split_assign(),
-        "pivot_events": Q.sql_pivot_events(),
-        "user_setops": Q.sql_user_setops(),
-        "json_source": Q.sql_json_source(),
-        "pack_sequences": Q.sql_pack_sequences(),
-        "focal_stats": Q.sql_focal_stats(),
-        "bloom_decontaminate": Q.sql_bloom_decontaminate(),
-        "percentile_rank": Q.sql_percentile_rank(),
-        "cms_heavy_hitters": Q.sql_cms_heavy_hitters(),
-        "left_join_orders": Q.sql_left_join_orders(),
-        "bm25_topk": Q.sql_bm25_topk(),
-        "distance_join": Q.sql_distance_join(),
-        "funnel": Q.sql_funnel(),
-        "ttr": Q.sql_ttr(),
-        "count_of_counts": Q.sql_count_of_counts(),
-        "image_mosaic": Q.sql_image_mosaic(),
-        "trajectory_segments": Q.sql_trajectory_segments(),
-        "anomaly_filter": Q.sql_anomaly_filter(),
-        "rollup_revenue": Q.sql_rollup_revenue(),
-        "cap_cover": Q.sql_cap_cover(),
-        "cooccurrence": Q.sql_cooccurrence(),
-        "constraint_audit": Q.sql_constraint_audit(),
-        "image_quality_filter": Q.sql_image_quality_filter(),
-        "image_pyramid": Q.sql_image_pyramid(),
-        "window_join": Q.sql_window_join(),
-        "page_orders": Q.sql_page_orders(),
-        "dedup_editdist": Q.sql_dedup_editdist(),
-        "ann_recall": Q.sql_ann_recall(),
-        "incremental_merge": Q.sql_incremental_merge(),
-        "bpe_pairs": Q.sql_bpe_pairs(),
-        "uncompact_cells": Q.sql_uncompact_cells(),
-        "grid_distance": Q.sql_grid_distance(),
-        "grid_path": Q.sql_grid_path(),
-        "snapshot_diff": Q.sql_snapshot_diff(),
-        "polars_source": Q.sql_polars_source(),
-        "space_time_cube": Q.sql_space_time_cube(),
-        "moving_avg": Q.sql_moving_avg(),
-        "late_events": Q.sql_late_events(),
-        "full_outer_days": Q.sql_full_outer_days(),
-        "rank_orders": Q.sql_rank_orders(),
-        "dup_spans": Q.sql_dup_spans(),
-        "vector_tiles": Q.sql_vector_tiles(),
-        "length_buckets": Q.sql_length_buckets(),
-        "mixture_weights": Q.sql_mixture_weights(),
-        "zscore_events": Q.sql_zscore_events(),
-        "polygon_overlay": Q.sql_polygon_overlay(),
-        "morans_i": Q.sql_morans_i(),
-        "kmeans_train": Q.sql_kmeans_train(),
-        "debounce": Q.sql_debounce(),
-        "user_gini": Q.sql_user_gini(),
-        "image_retention": Q.sql_image_retention(),
-        "nearest_poi": Q.sql_nearest_poi(),
-        "generator_source": Q.sql_generator_source(),
-        "brand_nation_revenue": Q.sql_brand_nation_revenue(),
-        "mixed_res_counts": Q.sql_mixed_res_counts(),
-        "od_matrix": Q.sql_od_matrix(),
-        "cube_revenue": Q.sql_cube_revenue(),
-        "contrastive_pairs": Q.sql_contrastive_pairs(),
-        "hourly_profile": Q.sql_hourly_profile(),
-        "monthly_orders": Q.sql_monthly_orders(),
-        "retention_cohorts": Q.sql_retention_cohorts(),
-        "image_pipeline": Q.sql_image_pipeline(),
-        "image_features": Q.sql_image_features(),
-        "image_patches": Q.sql_image_patches(),
-        "image_neardup": Q.sql_image_neardup(),
-        "multimodal_neardup": Q.sql_multimodal_neardup(),
-    }
+    return {key: sql() for key, _, sql in _registry()}

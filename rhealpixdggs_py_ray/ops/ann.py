@@ -685,10 +685,10 @@ def ann_topk_ivfpq(emb_ds, n_queries: int = 10, k: int = 5, n_lists: int = 16,
     n_queries x M x K ints, broadcast once), and a vector's distance is
     the order-free integer sum of its 4 PQ codes' lut entries.  Codes
     are computed in-batch from the deterministic lattice codebook
-    (pipelines.queries._pq_codebook), so the whole chain — pruning,
+    (pipelines.qbase._pq_codebook), so the whole chain — pruning,
     encoding, ADC ranking — replays exactly in SQL.  Output (qid,
     vec_id, rank, adc)."""
-    from rhealpixdggs_py_ray.pipelines.queries import (
+    from rhealpixdggs_py_ray.pipelines.qbase import (
         PQ_D, PQ_K, PQ_M, _pq_codebook)
 
     _, C = _ivf_seed_centroids(emb_ds, n_lists)
@@ -781,7 +781,7 @@ def ann_topk_ivfpq_sql(n_queries: int = 10, k: int = 5, n_lists: int = 16,
     from the closed-form lattice codebook with integer-quantized
     distances, per-query integer ADC tables, (adc, vec_id) rank."""
     from rhealpixdggs_py_ray.oracle import _lit
-    from rhealpixdggs_py_ray.pipelines.queries import PQ_D, PQ_K, PQ_M
+    from rhealpixdggs_py_ray.pipelines.qbase import PQ_D, PQ_K, PQ_M
 
     c_expr = ("(CAST((kk * 37 + j * 11 + s * 5) % 16 AS DOUBLE)"
               f" - {_lit(7.5)}) / {_lit(32.0)}")

@@ -1871,66 +1871,3 @@ SELECT n.n AS n_vecs,
     // (CAST(n.n AS HUGEINT) * n.n * 10000000000) AS BIGINT) AS iso_e6
 FROM ein n
 """
-
-__all__ = [
-    "q_ann_topk",
-    "sql_ann_topk",
-    "q_ann_topk_lsh",
-    "sql_ann_topk_lsh",
-    "q_ann_topk_ivf",
-    "sql_ann_topk_ivf",
-    "q_embedding_centroids",
-    "sql_embedding_centroids",
-    "q_embedding_gram",
-    "sql_embedding_gram",
-    "q_nearest_centroid",
-    "sql_nearest_centroid",
-    "q_kmeans_step",
-    "sql_kmeans_step",
-    "q_ann_recall",
-    "sql_ann_recall",
-    "q_kmeans_train",
-    "sql_kmeans_train",
-    "q_ann_topk_filtered",
-    "sql_ann_topk_filtered",
-    "q_knn_graph",
-    "sql_knn_graph",
-    "q_rknn_counts",
-    "sql_rknn_counts",
-    "q_clip_filter",
-    "sql_clip_filter",
-    "q_quantize_embeddings",
-    "sql_quantize_embeddings",
-    "q_pq_encode",
-    "sql_pq_encode",
-    "q_ann_topk_ivfpq",
-    "sql_ann_topk_ivfpq",
-    "q_mmr_rerank",
-    "sql_mmr_rerank",
-    "q_ann_recall_pq",
-    "sql_ann_recall_pq",
-    "q_clip_retrieval",
-    "sql_clip_retrieval",
-    "q_embedding_norm_outliers",
-    "sql_embedding_norm_outliers",
-    "q_hybrid_rank",
-    "sql_hybrid_rank",
-    "q_ndcg_eval",
-    "sql_ndcg_eval",
-    "q_ann_ivf_persisted",
-    "sql_ann_ivf_persisted",
-    "q_ann_ivf_ckpt",
-    "sql_ann_ivf_ckpt",
-    "q_negative_samples",
-    "sql_negative_samples",
-    "q_mann_kendall",
-    "sql_mann_kendall",
-    "q_elbow_point",
-    "sql_elbow_point",
-    "q_matryoshka_quality",
-    "sql_matryoshka_quality",
-    "q_pq_codebook_usage",
-    "sql_pq_codebook_usage",
-    "q_embedding_isotropy",
-    "sql_embedding_isotropy",
-]

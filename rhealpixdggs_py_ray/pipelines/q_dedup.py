@@ -1534,59 +1534,3 @@ SELECT CAST(a AS BIGINT) AS a, CAST(b AS BIGINT) AS b,
   CAST(m + g + c AS BIGINT) AS n_detectors
 FROM dcu WHERE m + g + c >= 2
 """
-
-
-__all__ = [
-    "q_dedup_consensus",
-    "sql_dedup_consensus",
-    "q_dedup_exact",
-    "sql_dedup_exact",
-    "q_dedup_normalized",
-    "sql_dedup_normalized",
-    "q_decontaminate",
-    "sql_decontaminate",
-    "q_minhash_lsh",
-    "q_minhash_calibration",
-    "sql_minhash_calibration",
-    "sql_minhash_lsh",
-    "q_dedup_clusters",
-    "sql_dedup_clusters",
-    "q_simhash",
-    "sql_simhash",
-    "q_ngram_jaccard",
-    "sql_ngram_jaccard",
-    "q_embedding_dedup",
-    "sql_embedding_dedup",
-    "q_embedding_dedup_lsh",
-    "sql_embedding_dedup_lsh",
-    "q_fingerprint",
-    "sql_fingerprint",
-    "q_bloom_decontaminate",
-    "sql_bloom_decontaminate",
-    "q_dedup_editdist",
-    "sql_dedup_editdist",
-    "q_contrastive_pairs",
-    "sql_contrastive_pairs",
-    "q_semdedup",
-    "sql_semdedup",
-    "q_winnow_fingerprint",
-    "sql_winnow_fingerprint",
-    "q_simhash_clusters",
-    "sql_simhash_clusters",
-    "q_split_leakage",
-    "sql_split_leakage",
-    "q_dedup_keep_best",
-    "sql_dedup_keep_best",
-    "q_dedup_incremental",
-    "sql_dedup_incremental",
-    "q_dedup_containment",
-    "sql_dedup_containment",
-    "q_dup_source_matrix",
-    "sql_dup_source_matrix",
-    "q_ngram_novelty",
-    "sql_ngram_novelty",
-    "q_kmv_join_estimate",
-    "sql_kmv_join_estimate",
-    "q_dedup_coverage",
-    "sql_dedup_coverage",
-]

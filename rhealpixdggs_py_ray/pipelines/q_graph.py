@@ -1640,44 +1640,3 @@ SELECT m AS n_edges, z AS n_zero_support,
     AS frac_e6
 FROM zst
 """
-
-__all__ = [
-    "q_pagerank",
-    "sql_pagerank",
-    "q_pagerank_distributed",
-    "sql_pagerank_distributed",
-    "q_triangle_count",
-    "sql_triangle_count",
-    "q_common_neighbors",
-    "sql_common_neighbors",
-    "q_k_core",
-    "sql_k_core",
-    "q_random_walks",
-    "sql_random_walks",
-    "q_spectral_partition",
-    "sql_spectral_partition",
-    "q_influence_spread",
-    "sql_influence_spread",
-    "q_degree_assortativity",
-    "sql_degree_assortativity",
-    "q_clustering_coeff",
-    "sql_clustering_coeff",
-    "q_giant_component",
-    "sql_giant_component",
-    "q_graph_bfs",
-    "sql_graph_bfs",
-    "q_eigencentrality",
-    "sql_eigencentrality",
-    "q_adamic_adar",
-    "sql_adamic_adar",
-    "q_graph_modularity",
-    "sql_graph_modularity",
-    "q_k_truss",
-    "sql_k_truss",
-    "q_rich_club",
-    "sql_rich_club",
-    "q_degree_histogram",
-    "sql_degree_histogram",
-    "q_zero_support_edges",
-    "sql_zero_support_edges",
-]

@@ -2046,66 +2046,3 @@ SELECT channel, CAST(COUNT(*) AS BIGINT) AS n,
   CAST(SUM(cents) AS BIGINT) AS sum_cents
 FROM sev GROUP BY channel
 """
-
-
-__all__ = [
-    "q_schema_evolution",
-    "sql_schema_evolution",
-    "SCHEMA_V2_DAY",
-    "q_time_travel",
-    "sql_time_travel",
-    "TT_ASOF",
-    "TT_DEL_MOD",
-    "q_compact_files",
-    "sql_compact_files",
-    "q_table_checksum",
-    "sql_table_checksum",
-    "q_csv_source",
-    "sql_csv_source",
-    "q_resumable_tiling",
-    "sql_resumable_tiling",
-    "q_split_assign",
-    "sql_split_assign",
-    "q_json_source",
-    "sql_json_source",
-    "q_constraint_audit",
-    "sql_constraint_audit",
-    "q_snapshot_diff",
-    "sql_snapshot_diff",
-    "q_polars_source",
-    "sql_polars_source",
-    "q_generator_source",
-    "sql_generator_source",
-    "q_points_source",
-    "sql_points_source",
-    "q_source_cap",
-    "sql_source_cap",
-    "q_range_shards",
-    "sql_range_shards",
-    "q_merkle_tiles",
-    "sql_merkle_tiles",
-    "q_pruned_scan",
-    "sql_pruned_scan",
-    "q_group_split",
-    "sql_group_split",
-    "q_rendezvous_shards",
-    "sql_rendezvous_shards",
-    "q_global_sort",
-    "sql_global_sort",
-    "q_binary_source",
-    "sql_binary_source",
-    "q_hive_partitioned_source",
-    "sql_hive_partitioned_source",
-    "q_source_centroid_shift",
-    "sql_source_centroid_shift",
-    "q_quarantine_sink",
-    "sql_quarantine_sink",
-    "q_npy_source",
-    "sql_npy_source",
-    "q_rowgroup_stats",
-    "sql_rowgroup_stats",
-    "q_shuffle_mix",
-    "sql_shuffle_mix",
-    "q_k_anonymity",
-    "sql_k_anonymity",
-]

@@ -2156,68 +2156,3 @@ FROM ict
 WHERE NOT EXISTS (SELECT 1 FROM icl WHERE icl.img_idx = ict.img_idx)
 GROUP BY cell_id
 """
-
-
-__all__ = [
-    "q_image_curation",
-    "sql_image_curation",
-    "AUDIO_DIR",
-    "AUDIO_N",
-    "VIDEO_DIR",
-    "VIDEO_N",
-    "VIDEO_EVERY",
-    "SCENE_CUT_T",
-    "AUDIO_ND_WIN",
-    "AUDIO_ND_Q",
-    "AUDIO_ND_MAX",
-    "q_audio_neardup",
-    "sql_audio_neardup",
-    "q_video_scene_cuts",
-    "sql_video_scene_cuts",
-    "q_video_frame_stats",
-    "sql_video_frame_stats",
-    "q_audio_features",
-    "sql_audio_features",
-    "q_image_tile_locality",
-    "sql_image_tile_locality",
-    "q_image_pipeline",
-    "q_image_features",
-    "sql_image_pipeline",
-    "sql_image_features",
-    "q_image_patches",
-    "sql_image_patches",
-    "q_image_neardup",
-    "sql_image_neardup",
-    "q_multimodal_neardup",
-    "sql_multimodal_neardup",
-    "q_image_mosaic",
-    "sql_image_mosaic",
-    "q_image_quality_filter",
-    "sql_image_quality_filter",
-    "q_image_pyramid",
-    "sql_image_pyramid",
-    "q_image_retention",
-    "sql_image_retention",
-    "q_image_augment",
-    "sql_image_augment",
-    "q_image_clusters",
-    "sql_image_clusters",
-    "q_image_equalize",
-    "sql_image_equalize",
-    "q_image_keep_best",
-    "sql_image_keep_best",
-    "q_image_row_profile",
-    "sql_image_row_profile",
-    "q_image_gamma",
-    "sql_image_gamma",
-    "q_image_sharpness",
-    "sql_image_sharpness",
-    "q_payload_audit",
-    "sql_payload_audit",
-    "q_image_entropy",
-    "sql_image_entropy",
-    "q_caption_alignment",
-    "sql_caption_alignment",
-    "q_phash_bit_balance",
-    "sql_phash_bit_balance",
-]

@@ -4967,166 +4967,3 @@ WHERE n >= {GAP_MIN_NBRS}
   AND NOT EXISTS (SELECT 1 FROM cgo o2
                   WHERE o2.gy = cgn.ty AND o2.gx = cgn.tx)
 """
-
-
-__all__ = [
-    "q_coverage_gaps",
-    "sql_coverage_gaps",
-    "GAP_MIN_NBRS",
-    "q_join_counts",
-    "sql_join_counts",
-    "q_cell_from_point",
-    "sql_cell_from_point",
-    "q_cell_from_point_lon0",
-    "sql_cell_from_point_lon0",
-    "q_cell_from_point_nside2",
-    "sql_cell_from_point_nside2",
-    "q_cell_from_point_unit",
-    "sql_cell_from_point_unit",
-    "q_cell_from_point_ns12",
-    "sql_cell_from_point_ns12",
-    "q_cell_from_point_radians",
-    "sql_cell_from_point_radians",
-    "q_cell_from_point_shifted",
-    "sql_cell_from_point_shifted",
-    "q_cell_color",
-    "sql_cell_color",
-    "q_spatial_join_bbox",
-    "sql_spatial_join_bbox",
-    "q_zonal_stats",
-    "sql_zonal_stats",
-    "q_grid",
-    "sql_grid",
-    "q_grid_ul_r4",
-    "sql_grid_ul_r4",
-    "q_knn",
-    "sql_knn",
-    "q_polyfill",
-    "sql_polyfill",
-    "q_polyfill_polar",
-    "sql_polyfill_polar",
-    "q_compress_polar",
-    "sql_compress_polar",
-    "q_polyfill_polar_ns12",
-    "sql_polyfill_polar_ns12",
-    "q_polyfill_polar_south",
-    "sql_polyfill_polar_south",
-    "q_compress",
-    "sql_compress",
-    "q_k_ring",
-    "sql_k_ring",
-    "q_k_ring_polar",
-    "sql_k_ring_polar",
-    "q_cell_geometry",
-    "q_cell_geometry_r3",
-    "q_cell_geometry_radians",
-    "sql_cell_geometry_radians",
-    "q_raster_sample_global",
-    "sql_raster_sample_global",
-    "q_hierarchy",
-    "sql_hierarchy",
-    "q_successor",
-    "sql_successor",
-    "q_validate",
-    "sql_validate",
-    "q_minimal_cover",
-    "sql_minimal_cover",
-    "q_cell_latitudes",
-    "sql_cell_latitudes",
-    "q_spatial_antijoin",
-    "sql_spatial_antijoin",
-    "q_linetrace",
-    "sql_linetrace",
-    "q_cells_from_region",
-    "sql_cells_from_region",
-    "q_cells_from_region_polar",
-    "sql_cells_from_region_polar",
-    "q_cells_from_parallel_polar",
-    "sql_cells_from_parallel_polar",
-    "q_cells_from_parallel",
-    "sql_cells_from_parallel",
-    "q_cells_from_meridian",
-    "sql_cells_from_meridian",
-    "q_knn_rings",
-    "q_cell_stats",
-    "sql_cell_stats",
-    "q_cell_from_region",
-    "sql_cell_from_region",
-    "sql_cell_geometry",
-    "sql_cell_geometry_r3",
-    "q_predecessor",
-    "sql_predecessor",
-    "q_interval",
-    "sql_interval",
-    "q_suid_rowcol",
-    "sql_suid_rowcol",
-    "q_num_cells",
-    "sql_num_cells",
-    "q_xy_range",
-    "sql_xy_range",
-    "q_cell_boundary",
-    "sql_cell_boundary",
-    "q_cell_interior",
-    "sql_cell_interior",
-    "q_cell_contains",
-    "sql_cell_contains",
-    "q_cell_overlaps",
-    "sql_cell_overlaps",
-    "q_random_cells",
-    "sql_random_cells",
-    "q_random_points",
-    "sql_random_points",
-    "q_cell_zone",
-    "sql_cell_zone",
-    "q_focal_stats",
-    "sql_focal_stats",
-    "q_distance_join",
-    "sql_distance_join",
-    "q_trajectory_segments",
-    "sql_trajectory_segments",
-    "q_cap_cover",
-    "sql_cap_cover",
-    "q_uncompact_cells",
-    "sql_uncompact_cells",
-    "q_grid_distance",
-    "sql_grid_distance",
-    "q_grid_path",
-    "sql_grid_path",
-    "q_space_time_cube",
-    "sql_space_time_cube",
-    "q_dup_spans",
-    "sql_dup_spans",
-    "q_polygon_overlay",
-    "sql_polygon_overlay",
-    "q_morans_i",
-    "sql_morans_i",
-    "q_nearest_poi",
-    "sql_nearest_poi",
-    "q_mixed_res_counts",
-    "sql_mixed_res_counts",
-    "q_od_matrix",
-    "sql_od_matrix",
-    "q_linetrace_polar",
-    "sql_linetrace_polar",
-    "q_aspect_buckets",
-    "sql_aspect_buckets",
-    "q_dissolve",
-    "sql_dissolve",
-    "q_line_buffer",
-    "sql_line_buffer",
-    "q_idw_raster",
-    "sql_idw_raster",
-    "q_dissolve_rings",
-    "sql_dissolve_rings",
-    "q_grid_flood",
-    "sql_grid_flood",
-    "q_adaptive_cover",
-    "sql_adaptive_cover",
-    "q_dwell_time",
-    "sql_dwell_time",
-    "q_impossible_travel",
-    "sql_impossible_travel",
-    "q_dbscan_cells",
-    "sql_dbscan_cells",
-    "q_colocation_pairs",
-]

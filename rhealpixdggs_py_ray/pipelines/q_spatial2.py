@@ -5125,11 +5125,16 @@ def q_tile_anomaly_days(sf_dir: str):
         ids = batch["event_id"].to_numpy(zero_copy_only=False)
         ts = (batch["ts"].to_numpy(zero_copy_only=False)
               .astype("datetime64[us]").astype(np.int64))
-        day = ((ts // 86_400_000_000) - 19723).astype(np.uint64)
+        day = (ts // 86_400_000_000) - 19723
+        if day.size and (day.min() < 0 or day.max() >= 64):
+            raise ValueError(
+                "tile_anomaly_days: event day outside the 64-day key "
+                "window starting 2024-01-01 (days since: "
+                f"{int(day.min())}..{int(day.max())})")
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
         tile = (u.astype(np.uint64) >> np.uint64(52))
-        key = tile * np.uint64(64) + day
+        key = tile * np.uint64(64) + day.astype(np.uint64)
         uq, cnt = np.unique(key, return_counts=True)
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "n": pa.array(cnt.astype(np.int64))})
@@ -5234,94 +5239,3 @@ JOIN tmed m ON m.tile_id = d.tile_id
 JOIN tmad a ON a.tile_id = d.tile_id
 WHERE d.n > m.med + 3 * a.mad
 """
-
-
-__all__ = [
-    "q_tile_anomaly_days",
-    "sql_tile_anomaly_days",
-    "q_tile_peak_hour",
-    "sql_tile_peak_hour",
-    "q_tile_weekend_shift",
-    "sql_tile_weekend_shift",
-    "q_tile_conversion",
-    "sql_tile_conversion",
-    "q_tile_affinity",
-    "sql_tile_affinity",
-    "q_tile_cross_density",
-    "sql_tile_cross_density",
-    "sql_colocation_pairs",
-    "q_home_cells",
-    "sql_home_cells",
-    "q_dateline_fence",
-    "sql_dateline_fence",
-    "q_cost_distance",
-    "sql_cost_distance",
-    "q_zorder_layout",
-    "sql_zorder_layout",
-    "q_local_ij",
-    "sql_local_ij",
-    "q_hotspot_gi",
-    "sql_hotspot_gi",
-    "q_snap_to_line",
-    "sql_snap_to_line",
-    "q_cell_edges",
-    "sql_cell_edges",
-    "q_geofence_transitions",
-    "sql_geofence_transitions",
-    "q_hausdorff",
-    "sql_hausdorff",
-    "q_viewshed",
-    "sql_viewshed",
-    "q_frechet",
-    "sql_frechet",
-    "q_simplify_track",
-    "sql_simplify_track",
-    "q_map_match",
-    "sql_map_match",
-    "q_trip_stats",
-    "sql_trip_stats",
-    "q_web_tiles",
-    "sql_web_tiles",
-    "q_heading_histogram",
-    "sql_heading_histogram",
-    "q_geohash_encode",
-    "sql_geohash_encode",
-    "q_convex_hull",
-    "sql_convex_hull",
-    "q_kde_raster",
-    "sql_kde_raster",
-    "q_mobility_entropy",
-    "sql_mobility_entropy",
-    "q_hilbert_layout",
-    "sql_hilbert_layout",
-    "q_hillshade",
-    "sql_hillshade",
-    "q_flow_acc",
-    "sql_flow_acc",
-    "q_semivariogram",
-    "sql_semivariogram",
-    "q_ripley_k",
-    "sql_ripley_k",
-    "q_watershed",
-    "sql_watershed",
-    "q_tpi_tri",
-    "sql_tpi_tri",
-    "q_strahler_order",
-    "sql_strahler_order",
-    "q_quadrat_test",
-    "sql_quadrat_test",
-    "q_staypoints",
-    "sql_staypoints",
-    "q_gearys_c",
-    "sql_gearys_c",
-    "q_conformal_interval",
-    "sql_conformal_interval",
-    "q_bilinear_resample",
-    "sql_bilinear_resample",
-    "q_theil_decomposition",
-    "sql_theil_decomposition",
-    "q_revisit_rate",
-    "sql_revisit_rate",
-    "q_contour_crossings",
-    "sql_contour_crossings",
-]

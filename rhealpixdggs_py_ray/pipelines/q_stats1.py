@@ -5325,136 +5325,3 @@ FROM tsc, tst
 ORDER BY llr_e6 DESC, tile_id
 LIMIT {SCAN_TOP}
 """
-
-
-__all__ = [
-    "q_tile_scan_stat",
-    "sql_tile_scan_stat",
-    "SCAN_TOP",
-    "q_tile_counts",
-    "sql_tile_counts",
-    "q_agg_lineitem",
-    "sql_agg_lineitem",
-    "q_join_customer_nation",
-    "sql_join_customer_nation",
-    "q_topk_orders",
-    "sql_topk_orders",
-    "q_curate",
-    "sql_curate",
-    "q_topk_per_group",
-    "sql_topk_per_group",
-    "q_sample_stratified",
-    "sql_sample_stratified",
-    "q_sample_bottomk",
-    "sql_sample_bottomk",
-    "q_priority_revenue",
-    "q_nation_revenue",
-    "sql_nation_revenue",
-    "sql_priority_revenue",
-    "q_running_totals",
-    "sql_running_totals",
-    "q_regression_stats",
-    "sql_regression_stats",
-    "q_props_parse",
-    "sql_props_parse",
-    "q_distinct_users",
-    "sql_distinct_users",
-    "q_hll_registers",
-    "sql_hll_registers",
-    "q_quantiles",
-    "sql_quantiles",
-    "q_winsorize",
-    "sql_winsorize",
-    "q_tile_pyramid",
-    "sql_tile_pyramid",
-    "q_tile_counts_salted",
-    "q_pivot_events",
-    "sql_pivot_events",
-    "q_user_setops",
-    "sql_user_setops",
-    "q_percentile_rank",
-    "sql_percentile_rank",
-    "q_cms_heavy_hitters",
-    "sql_cms_heavy_hitters",
-    "q_left_join_orders",
-    "sql_left_join_orders",
-    "q_count_of_counts",
-    "sql_count_of_counts",
-    "q_anomaly_filter",
-    "sql_anomaly_filter",
-    "q_rollup_revenue",
-    "sql_rollup_revenue",
-    "q_cooccurrence",
-    "sql_cooccurrence",
-    "q_page_orders",
-    "sql_page_orders",
-    "q_incremental_merge",
-    "sql_incremental_merge",
-    "q_full_outer_days",
-    "sql_full_outer_days",
-    "q_rank_orders",
-    "sql_rank_orders",
-    "q_vector_tiles",
-    "sql_vector_tiles",
-    "q_length_buckets",
-    "sql_length_buckets",
-    "q_mixture_weights",
-    "sql_mixture_weights",
-    "q_zscore_events",
-    "sql_zscore_events",
-    "q_user_gini",
-    "sql_user_gini",
-    "q_brand_nation_revenue",
-    "sql_brand_nation_revenue",
-    "q_cube_revenue",
-    "sql_cube_revenue",
-    "q_pareto_docs",
-    "sql_pareto_docs",
-    "q_tile_median",
-    "sql_tile_median",
-    "q_tile_hll",
-    "sql_tile_hll",
-    "q_quota_sample",
-    "sql_quota_sample",
-    "q_pair_counts",
-    "sql_pair_counts",
-    "q_region_moments",
-    "sql_region_moments",
-    "q_tile_change",
-    "sql_tile_change",
-    "q_shipping_priority",
-    "sql_shipping_priority",
-    "q_priority_sample",
-    "sql_priority_sample",
-    "q_dataset_profile",
-    "sql_dataset_profile",
-    "q_tile_modality_balance",
-    "sql_tile_modality_balance",
-    "q_tile_gini",
-    "sql_tile_gini",
-    "q_tile_similarity",
-    "sql_tile_similarity",
-    "q_markov_transitions",
-    "sql_markov_transitions",
-    "q_session_entropy",
-    "sql_session_entropy",
-    "q_pca_power",
-    "sql_pca_power",
-    "q_tile_trigrams",
-    "sql_tile_trigrams",
-    "q_decision_stump",
-    "sql_decision_stump",
-    "q_ab_test",
-    "sql_ab_test",
-    "q_distance_decay",
-    "sql_distance_decay",
-    "q_bootstrap_ci",
-    "sql_bootstrap_ci",
-    "q_cohens_kappa",
-    "sql_cohens_kappa",
-    "q_ks_test",
-    "sql_ks_test",
-    "q_assoc_rules",
-    "sql_assoc_rules",
-    "q_haar_energy",
-]

@@ -200,6 +200,36 @@ CROSS JOIN vr r
 """
 
 
+def _lof_attach(gr: pa.Table) -> pa.Table:
+    """q_lof_outliers' per-bucket resolve: bind each edge row
+    (qid >= 0) to its neighbor node's dsum row (qid < 0) and emit
+    (qid, neighbor mass) partials.  A neighbor with no dsum row in the
+    bucket raises KeyError."""
+    if gr.num_rows == 0 or "node" not in gr.column_names:
+        return pa.table({"key": pa.array([], type=pa.uint64()),
+                         "one": pa.array([], type=pa.int64())})
+    node = gr["node"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    qid = gr["qid"].to_numpy(zero_copy_only=False)
+    ds_ = gr["dsum"].to_numpy(zero_copy_only=False)
+    own = qid < 0
+    em = ~own
+    # vectorized lookup: own nodes are unique (dsum is a fold), so
+    # searchsorted over the sorted own array replaces a dict
+    order = np.argsort(node[own])
+    so_nodes = node[own][order]
+    so_mass = ds_[own][order]
+    nb = node[em]
+    pos = np.minimum(np.searchsorted(so_nodes, nb), len(so_nodes) - 1)
+    miss = nb if len(so_nodes) == 0 else nb[so_nodes[pos] != nb]
+    if len(miss):
+        raise KeyError(f"lof_outliers: no dsum row for neighbor node(s) "
+                       f"{miss[:5].tolist()}")
+    return pa.table({
+        "key": pa.array(qid[em].astype(np.uint64), type=pa.uint64()),
+        "one": pa.array(so_mass[pos]),
+    })
+
+
 def q_lof_outliers(sf_dir: str):
     """Density-based outlier scoring over the exact kNN graph
     (complements the distributional q_embedding_norm_outliers): each
@@ -250,32 +280,12 @@ def q_lof_outliers(sf_dir: str):
             "dsum": pa.array(batch["dsum"].to_numpy(zero_copy_only=False)),
         })
 
-    def attach(gr: pa.Table) -> pa.Table:
-        if gr.num_rows == 0 or "node" not in gr.column_names:
-            return pa.table({"key": pa.array([], type=pa.uint64()),
-                             "one": pa.array([], type=pa.int64())})
-        node = gr["node"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        qid = gr["qid"].to_numpy(zero_copy_only=False)
-        ds_ = gr["dsum"].to_numpy(zero_copy_only=False)
-        own = qid < 0
-        em = ~own
-        # vectorized lookup: own nodes are unique (dsum is a fold), so
-        # searchsorted over the sorted own array replaces a dict
-        order = np.argsort(node[own])
-        so_nodes = node[own][order]
-        so_mass = ds_[own][order]
-        nb_mass = so_mass[np.searchsorted(so_nodes, node[em])]
-        return pa.table({
-            "key": pa.array(qid[em].astype(np.uint64), type=pa.uint64()),
-            "one": pa.array(nb_mass),
-        })
-
     nb_sum = sum_by_u64_key(
         g.map_batches(edge_rows, batch_format="pyarrow",
                       zero_copy_batch=True)
         .union(dsum.map_batches(dsum_rows, batch_format="pyarrow",
                                 zero_copy_batch=True))
-        .groupby("bucket").map_groups(attach, batch_format="pyarrow"),
+        .groupby("bucket").map_groups(_lof_attach, batch_format="pyarrow"),
         "key", "one", "nb_sum", n_buckets=8,
     )
 
@@ -5416,117 +5426,3 @@ SELECT CAST(fm AS BIGINT) AS cohort_month,
   CAST(SUM(cents) AS BIGINT) AS sum_cents
 FROM ltf GROUP BY fm, m - fm
 """
-
-
-__all__ = [
-    "q_ltv_cohorts",
-    "sql_ltv_cohorts",
-    "q_psi_drift",
-    "sql_psi_drift",
-    "PSI_SPLIT_DAY",
-    "sql_haar_energy",
-    "q_vopt_bins",
-    "sql_vopt_bins",
-    "q_lof_outliers",
-    "sql_lof_outliers",
-    "q_eb_shrinkage",
-    "sql_eb_shrinkage",
-    "q_target_encoding",
-    "sql_target_encoding",
-    "q_facility_placement",
-    "sql_facility_placement",
-    "q_emd_1d",
-    "sql_emd_1d",
-    "q_gw_mean",
-    "sql_gw_mean",
-    "q_chi_square",
-    "sql_chi_square",
-    "q_rfm_segments",
-    "sql_rfm_segments",
-    "q_tile_pmi",
-    "sql_tile_pmi",
-    "q_odds_ratio",
-    "sql_odds_ratio",
-    "q_corr_matrix",
-    "sql_corr_matrix",
-    "q_benford_test",
-    "sql_benford_test",
-    "q_mad_outliers",
-    "sql_mad_outliers",
-    "q_circular_stats",
-    "sql_circular_stats",
-    "q_simpson_diversity",
-    "sql_simpson_diversity",
-    "q_extreme_values",
-    "sql_extreme_values",
-    "q_sprt_monitor",
-    "sql_sprt_monitor",
-    "q_diff_in_diff",
-    "sql_diff_in_diff",
-    "q_hill_tail",
-    "sql_hill_tail",
-    "q_permutation_test",
-    "sql_permutation_test",
-    "q_coverage_curve",
-    "sql_coverage_curve",
-    "q_uplift_by_bucket",
-    "sql_uplift_by_bucket",
-    "q_cvm_test",
-    "sql_cvm_test",
-    "q_permutation_entropy",
-    "sql_permutation_entropy",
-    "q_arm_kl",
-    "sql_arm_kl",
-    "q_spearman_rho",
-    "sql_spearman_rho",
-    "q_band_depth",
-    "sql_band_depth",
-    "q_grubbs_test",
-    "sql_grubbs_test",
-    "q_lin_ccc",
-    "sql_lin_ccc",
-    "q_qq_slope",
-    "sql_qq_slope",
-    "q_wilcoxon_u",
-    "sql_wilcoxon_u",
-    "q_l_moments",
-    "sql_l_moments",
-    "q_friedman_test",
-    "sql_friedman_test",
-    "q_customers_without_orders",
-    "sql_customers_without_orders",
-    "q_price_index",
-    "sql_price_index",
-    "q_cramers_v",
-    "sql_cramers_v",
-    "q_tail_dependence",
-    "sql_tail_dependence",
-    "q_transfer_entropy",
-    "sql_transfer_entropy",
-    "q_active_day_jaccard",
-    "sql_active_day_jaccard",
-    "q_box_dimension",
-    "sql_box_dimension",
-    "q_tile_jsd",
-    "sql_tile_jsd",
-    "q_channel_ratio",
-    "sql_channel_ratio",
-    "q_mde_estimate",
-    "sql_mde_estimate",
-    "q_reorder_gaps",
-    "sql_reorder_gaps",
-    "q_ship_lag",
-    "sql_ship_lag",
-    "q_abc_analysis",
-    "sql_abc_analysis",
-    "q_new_vs_returning",
-    "sql_new_vs_returning",
-    "q_brand_hhi",
-    "sql_brand_hhi",
-    "q_repeat_spend_corr",
-    "sql_repeat_spend_corr",
-    "q_palma_ratio",
-    "sql_palma_ratio",
-    "q_lag_lead_matrix",
-    "sql_lag_lead_matrix",
-]

@@ -2482,71 +2482,3 @@ FROM clp
 ORDER BY pmi_e6 DESC, bigram
 LIMIT {PMI_K}
 """
-
-
-__all__ = [
-    "q_collocations",
-    "sql_collocations",
-    "PMI_MIN_COUNT",
-    "PMI_K",
-    "q_token_stats",
-    "sql_token_stats",
-    "q_vocab",
-    "sql_vocab",
-    "q_label_quality",
-    "sql_label_quality",
-    "q_salient_terms",
-    "sql_salient_terms",
-    "q_chunk_docs",
-    "sql_chunk_docs",
-    "q_repetition",
-    "sql_repetition",
-    "q_lang_id",
-    "sql_lang_id",
-    "q_quality",
-    "sql_quality",
-    "q_pack_sequences",
-    "sql_pack_sequences",
-    "q_bm25_topk",
-    "sql_bm25_topk",
-    "q_ttr",
-    "sql_ttr",
-    "q_bpe_pairs",
-    "sql_bpe_pairs",
-    "q_pii_redact",
-    "sql_pii_redact",
-    "q_oov_rate",
-    "sql_oov_rate",
-    "q_topic_tag",
-    "sql_topic_tag",
-    "q_gopher_rules",
-    "sql_gopher_rules",
-    "q_bigram_score",
-    "sql_bigram_score",
-    "q_char_diversity",
-    "sql_char_diversity",
-    "q_inverted_index",
-    "sql_inverted_index",
-    "q_zipf_slope",
-    "sql_zipf_slope",
-    "q_attribution",
-    "sql_attribution",
-    "q_readability",
-    "sql_readability",
-    "q_naive_bayes",
-    "q_nb_confusion",
-    "sql_naive_bayes",
-    "sql_nb_confusion",
-    "q_fano_factor",
-    "sql_fano_factor",
-    "q_entropy_rate",
-    "sql_entropy_rate",
-    "q_unigram_ppl",
-    "sql_unigram_ppl",
-    "q_heaps_law",
-    "sql_heaps_law",
-    "q_cluster_purity",
-    "sql_cluster_purity",
-    "q_nb_mcc",
-    "sql_nb_mcc",
-]

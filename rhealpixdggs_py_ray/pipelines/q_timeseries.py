@@ -3460,88 +3460,3 @@ SELECT CAST(MAX(n) AS BIGINT) AS n_converted,
     THEN lat_s END) AS BIGINT) AS q3_s
 FROM clr
 """
-
-__all__ = [
-    "q_sessions",
-    "sql_sessions",
-    "q_windowed_counts",
-    "sql_windowed_counts",
-    "q_sliding_counts",
-    "sql_sliding_counts",
-    "q_asof_join",
-    "sql_asof_join",
-    "q_range_join",
-    "sql_range_join",
-    "q_funnel",
-    "sql_funnel",
-    "q_window_join",
-    "sql_window_join",
-    "q_moving_avg",
-    "sql_moving_avg",
-    "q_late_events",
-    "sql_late_events",
-    "q_debounce",
-    "sql_debounce",
-    "q_hourly_profile",
-    "sql_hourly_profile",
-    "q_monthly_orders",
-    "sql_monthly_orders",
-    "q_retention_cohorts",
-    "sql_retention_cohorts",
-    "q_ewma_user",
-    "sql_ewma_user",
-    "q_daily_p95",
-    "sql_daily_p95",
-    "q_window_distinct",
-    "sql_window_distinct",
-    "q_survival_curve",
-    "sql_survival_curve",
-    "q_acf_lag",
-    "sql_acf_lag",
-    "q_cusum_changepoint",
-    "sql_cusum_changepoint",
-    "q_tile_burst",
-    "sql_tile_burst",
-    "q_tile_forecast",
-    "sql_tile_forecast",
-    "q_holt_lite",
-    "sql_holt_lite",
-    "q_theil_sen",
-    "sql_theil_sen",
-    "q_binseg_changepoint",
-    "sql_binseg_changepoint",
-    "q_hurst_exponent",
-    "sql_hurst_exponent",
-    "q_dow_seasonality",
-    "sql_dow_seasonality",
-    "q_cross_correlation",
-    "sql_cross_correlation",
-    "q_peak_detection",
-    "sql_peak_detection",
-    "q_interevent_burstiness",
-    "sql_interevent_burstiness",
-    "q_rolling_slope",
-    "sql_rolling_slope",
-    "q_durbin_watson",
-    "sql_durbin_watson",
-    "q_dtw_daily",
-    "sql_dtw_daily",
-    "q_runs_test",
-    "sql_runs_test",
-    "q_diurnal_vector",
-    "sql_diurnal_vector",
-    "q_cointegration_dw",
-    "sql_cointegration_dw",
-    "q_max_drawdown",
-    "sql_max_drawdown",
-    "q_events_to_convert",
-    "sql_events_to_convert",
-    "q_dau_wau",
-    "sql_dau_wau",
-    "q_tile_recency",
-    "sql_tile_recency",
-    "q_weekend_lift",
-    "sql_weekend_lift",
-    "q_conversion_latency",
-    "sql_conversion_latency",
-]

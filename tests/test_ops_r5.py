@@ -121,6 +121,43 @@ def test_pair_cache_keeps_oversized_insert(ray_session):
     assert ds.count() == 100 and len(c) == 1
 
 
+def test_pair_cache_concurrent_same_key_builds_once():
+    """Threads missing on the same key share one slow build and all
+    get the same object back."""
+    import sys
+    import threading
+    import time
+
+    from rhealpixdggs_py_ray.state.dscache import MaterializedCache
+
+    c = MaterializedCache()
+    n = 8
+    gate = threading.Barrier(n, timeout=10)
+    got = [None] * n
+
+    def build():
+        time.sleep(0.3)
+        return object()
+
+    def run(i):
+        gate.wait()
+        got[i] = c.get_or_build("k", build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert c.builds == 1
+    assert got[0] is not None and all(g is got[0] for g in got)
+
+
 def test_query_pair_caches_warm(ray_session):
     """The query-side memoized pair sets (copresence, minhash) route
     through the shared PAIR_CACHE: second call is a warm hit."""
@@ -210,18 +247,27 @@ def test_ann_ivf_ckpt_matches_transient(ray_session):
 
 
 def test_registry_complete_and_consistent():
-    """Every queries() entry has a non-empty oracle_sql() string and
-    the facade exposes the full pre-split surface (421+ pairs)."""
-    import sys
-
-    sys.path.insert(0, "/root/repo")
+    """queries()/oracle_sql() are derived from the facade namespace:
+    one entry per q_* (443, no two mapped to the same key), every sql_*
+    backs some entry, and every _KEY_AND_ORACLE row names functions
+    that exist — a stale or colliding rename fails here."""
     import __ray_entry__ as E
+    from rhealpixdggs_py_ray.pipelines import queries as Q
 
     qs, sqls = E.queries(), E.oracle_sql()
-    assert len(qs) >= 424
+    q_names = [n for n in dir(Q) if n.startswith("q_")]
+    assert len(qs) == len(q_names) == 443
     assert set(qs) == set(sqls)
     assert all(callable(f) for f in qs.values())
     assert all(isinstance(s, str) and s.strip() for s in sqls.values())
+    backing = {id(sql) for _, _, sql in E._registry()}
+    unused = [n for n in dir(Q)
+              if n.startswith("sql_") and id(getattr(Q, n)) not in backing]
+    assert not unused
+    for stem, (key, sql_stem) in E._KEY_AND_ORACLE.items():
+        assert callable(getattr(Q, "q_" + stem, None)), stem
+        assert callable(getattr(Q, "sql_" + sql_stem, None)), sql_stem
+        assert key in qs, key
 
 
 def test_family_modules_under_size_limit():
@@ -345,3 +391,47 @@ def test_schema_evolution_legacy_rows(ray_session):
     n_legacy = int((day < Q.SCHEMA_V2_DAY).sum())
     assert int(t.set_index("channel").loc["legacy", "n"]) == n_legacy
     assert int(t["n"].sum()) == len(ev)
+
+
+def test_tile_anomaly_days_rejects_out_of_window_day(ray_session, tmp_path):
+    """The (tile, day) key packs the day offset from 2024-01-01 into 6
+    bits: a day before the window or 64+ days after it raises instead
+    of wrapping into another tile's keys."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import pytest
+    from rhealpixdggs_py_ray.pipelines import queries as Q
+
+    for i, bad in enumerate(("2023-12-31T12", "2024-03-05")):
+        ts = (np.datetime64("2024-01-01", "us")
+              + np.arange(8).astype("timedelta64[h]"))
+        ts[3] = np.datetime64(bad, "us")
+        d = tmp_path / str(i)
+        d.mkdir()
+        pq.write_table(pa.table({
+            "event_id": pa.array(np.arange(8, dtype=np.int64)),
+            "ts": pa.array(ts),
+        }), f"{d}/events.parquet")
+        with pytest.raises(Exception, match="ValueError: tile_anomaly_days"):
+            Q.q_tile_anomaly_days(str(d)).materialize()
+
+
+def test_lof_attach_raises_on_missing_neighbor():
+    """q_lof_outliers' neighbor-mass lookup binds each edge row to its
+    neighbor's dsum row, and raises on a neighbor with no dsum row —
+    both inside the sorted range and past its end."""
+    import pyarrow as pa
+    import pytest
+    from rhealpixdggs_py_ray.pipelines.q_stats2 import _lof_attach
+
+    def group(node, qid, dsum):
+        return pa.table({"node": pa.array(node, type=pa.uint64()),
+                         "qid": pa.array(qid, type=pa.int64()),
+                         "dsum": pa.array(dsum, type=pa.int64())})
+
+    out = _lof_attach(group([9, 5, 9, 5], [-1, -1, 0, 1], [90, 50, -1, -1]))
+    assert out["key"].to_pylist() == [0, 1]
+    assert out["one"].to_pylist() == [90, 50]
+    for nb in (7, 12):
+        with pytest.raises(KeyError, match="lof_outliers"):
+            _lof_attach(group([5, 9, nb], [-1, -1, 0], [50, 90, -1]))

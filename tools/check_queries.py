@@ -117,9 +117,6 @@ def main():
             failed.append(name)
             continue
         t1 = time.time()
-        if name not in sqls:
-            print(f"ok?  {name}: rows={len(ray_df)} ({t1 - t0:.1f}s) [no oracle: rows-only]")
-            continue
         try:
             sql_df = con.execute(sqls[name]).fetchdf()
         except Exception as exc:
