@@ -27,10 +27,13 @@ fall back to string addressing (documented limitation).
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 from rhealpixdggs_py_ray.core.config import CELLS0, EngineConfig
 
 MAX_PACK_RESOLUTION = 14
+# One Arrow string array indexes its bytes with int32 offsets.
+MAX_STRING_BYTES = 2**31 - 1
 _FACE_CHARS = np.array([ord(c) for c in CELLS0], dtype=np.uint8)
 
 
@@ -110,39 +113,57 @@ def is_subcell(child: np.ndarray, ancestor: np.ndarray) -> np.ndarray:
     return (trunc_child == trunc_anc) & (cres >= ares)
 
 
+def check_string_bytes(nbytes: int) -> None:
+    """Raise ValueError when one string array would hold more than
+    MAX_STRING_BYTES of SUID characters (its int32 offsets overflow)."""
+    if nbytes > MAX_STRING_BYTES:
+        raise ValueError(
+            f"{nbytes} SUID string bytes exceed one Arrow string array's "
+            f"{MAX_STRING_BYTES}-byte limit; split the input into smaller batches"
+        )
+
+
 def to_string(u: np.ndarray) -> np.ndarray:
-    """uint64[n] -> canonical SUID strings (cell.py:181-188), e.g.
-    'S001450634'.  Vectorized via a byte matrix."""
+    """uint64[n] (any mix of resolutions) -> numpy object array of
+    canonical SUID strings (cell.py:181-188), e.g. 'S001450634'.
+    Row i takes the first 1 + res[i] bytes of a byte matrix; Arrow
+    decodes the packed buffer in one pass."""
     u = np.asarray(u, dtype=np.uint64)
-    n = u.shape[0]
     face, digits, res = unpack(u)
-    rmax = digits.shape[1]
-    buf = np.zeros((n, 1 + rmax), dtype=np.uint8)
+    width = 1 + res.astype(np.int64)
+    offsets = np.zeros(u.shape[0] + 1, dtype=np.int64)
+    np.cumsum(width, out=offsets[1:])
+    check_string_bytes(int(offsets[-1]))
+    buf = np.empty((u.shape[0], 1 + digits.shape[1]), dtype=np.uint8)
     buf[:, 0] = _FACE_CHARS[face]
-    for i in range(rmax):
-        buf[:, 1 + i] = np.where(res > i, digits[:, i] + ord("0"), 0)
-    # Rows are null-terminated at their true length; decode row-wise.
-    flat = buf.tobytes()
-    width = 1 + rmax
-    return np.array(
-        [flat[i * width : i * width + 1 + int(res[i])].decode("ascii") for i in range(n)],
-        dtype=object,
-    )
+    buf[:, 1:] = digits + ord("0")
+    data = buf[np.arange(buf.shape[1]) < width[:, None]]
+    return _string_array(offsets.astype(np.int32), data).to_numpy(zero_copy_only=False)
 
 
-def to_string_fixed(u: np.ndarray, resolution: int) -> np.ndarray:
-    """uint64[n] (all at the same resolution) -> numpy unicode array of
-    SUID strings, fully vectorized (no per-row Python).  The hot-path
-    variant used by the CellIndexer stage."""
+def to_string_fixed(u: np.ndarray, resolution: int) -> pa.StringArray:
+    """uint64[n] (all at the same resolution) -> Arrow string array of
+    SUID strings, fully vectorized (no per-row Python).  Every string
+    is 1 + resolution bytes, so the digit matrix is the Arrow data
+    buffer as is and the offsets are an arange.  The hot-path variant
+    used by the CellIndexer stage."""
     u = np.asarray(u, dtype=np.uint64)
     n = u.shape[0]
-    buf = np.empty((n, 1 + resolution), dtype=np.uint8)
+    width = 1 + resolution
+    check_string_bytes(n * width)
+    buf = np.empty((n, width), dtype=np.uint8)
     buf[:, 0] = _FACE_CHARS[(u >> np.uint64(60)).astype(np.int64)]
     for i in range(resolution):
         shift = np.uint64(56 - 4 * i)
         buf[:, 1 + i] = ((u >> shift) & np.uint64(0xF)).astype(np.uint8) + ord("0")
-    flat = buf.reshape(-1).view(f"S{1 + resolution}")
-    return np.char.decode(flat, "ascii")
+    return _string_array(np.arange(0, (n + 1) * width, width, dtype=np.int32), buf)
+
+
+def _string_array(offsets: np.ndarray, data: np.ndarray) -> pa.StringArray:
+    """Arrow string array over int32 ``offsets`` and ASCII ``data`` bytes."""
+    return pa.StringArray.from_buffers(
+        len(offsets) - 1, pa.py_buffer(offsets), pa.py_buffer(np.ascontiguousarray(data))
+    )
 
 
 def from_string(ids) -> np.ndarray:

@@ -22,8 +22,9 @@ from rhealpixdggs_py_ray.core import topology as tp
 from rhealpixdggs_py_ray.core.config import CELLS0, WGS84_003, EngineConfig
 
 
-def _s(u: int) -> str:
-    return "".join(str(x) for x in su.suid_tuple(u))
+def _strs(cells) -> list[str]:
+    """Packed cells -> SUID strings, one batch conversion."""
+    return su.to_string(np.asarray(cells, dtype=np.uint64)).tolist()
 
 
 def rhp_is_valid(rhpindex, cfg: EngineConfig = WGS84_003) -> bool:
@@ -192,16 +193,14 @@ def cell_ring(rhpindex: str, k: int = 1, cfg: EngineConfig = WGS84_003):
     """rhp_wrappers.py:371-468."""
     if not rhp_is_valid(rhpindex, cfg) or k < 0:
         return None
-    ring = tp.cell_ring(cfg, int(su.from_string([rhpindex])[0]), k)
-    return [_s(c) for c in ring]
+    return _strs(tp.cell_ring(cfg, int(su.from_string([rhpindex])[0]), k))
 
 
 def k_ring(rhpindex: str, k: int = 1, cfg: EngineConfig = WGS84_003):
     """rhp_wrappers.py:471-507."""
     if not rhp_is_valid(rhpindex, cfg) or k < 0:
         return None
-    cells = tp.k_ring(cfg, int(su.from_string([rhpindex])[0]), k)
-    return [_s(c) for c in cells]
+    return _strs(tp.k_ring(cfg, int(su.from_string([rhpindex])[0]), k))
 
 
 def compress_order_cells(cells) -> list[str]:
@@ -224,6 +223,27 @@ def compress_order_cells(cells) -> list[str]:
     return sorted(out, key=alphanum_key)
 
 
+def polyfill_u64(
+    geometry, res: int, plane: bool = True, cfg: EngineConfig = WGS84_003
+):
+    """polyfill's cover as sorted unique packed cells (uint64), or None
+    for malformed geometry.  The engine-side form: the spatial join's
+    cover keys come from here without a string round trip."""
+    if geo.malformed_geometry(geometry):
+        return None
+    geoms = [geometry] if geometry.geom_type == "Polygon" else list(geometry.geoms)
+    inside = [np.empty(0, dtype=np.uint64)]
+    for geom in geoms:
+        bbox = geom.bounds
+        roi = cov.cells_from_region(cfg, res, (bbox[0], bbox[3]), (bbox[2], bbox[1]), plane)
+        if not roi:
+            continue
+        flat = np.array([c for row in roi for c in row], dtype=np.uint64)
+        cx, cy = idx.centroid(cfg, flat, plane=plane)
+        inside.append(flat[geo.points_in_polygon(cx, cy, geom)])
+    return np.unique(np.concatenate(inside))
+
+
 def polyfill(
     geometry,
     res: int,
@@ -237,29 +257,10 @@ def polyfill(
     types are structurally identical).  Malformed geometry (empty,
     self-intersecting, overlapping members, zero area) returns None
     exactly like the reference (rhp_wrappers.py:555-557, 810-827)."""
-    if geo.malformed_geometry(geometry):
+    u = polyfill_u64(geometry, res, plane=plane, cfg=cfg)
+    if u is None:
         return None
-    if geometry.geom_type == "Polygon":
-        geoms = [geometry]
-    else:
-        geoms = list(geometry.geoms)
-
-    cells: set[str] = set()
-    for geom in geoms:
-        bbox = geom.bounds
-        nw = (bbox[0], bbox[3])
-        se = (bbox[2], bbox[1])
-        roi = cov.cells_from_region(cfg, res, nw, se, plane)
-        if not roi:
-            continue
-        flat = np.array([c for row in roi for c in row], dtype=np.uint64)
-        if plane:
-            cx, cy = idx.centroid(cfg, flat, plane=True)
-        else:
-            cx, cy = idx.centroid(cfg, flat, plane=False)
-        inside = geo.points_in_polygon(cx, cy, geom)
-        for c in flat[inside]:
-            cells.add(_s(int(c)))
+    cells = set(_strs(u))
     if compress:
         cells = set(compress_order_cells(cells))
     return cells
@@ -278,20 +279,14 @@ def linetrace(
         lines = [geometry]
     else:
         lines = list(geometry.geoms)
-    cells: list[str] = []
+    cells: list[int] = []
     for line in lines:
         for i, j in zip(line.coords, line.coords[1:]):
-            seg = cov.cells_from_line(cfg, res, i, j, plane)
-            cells.extend(_s(c) for c in seg)
-        # sequential dedup
-        trimmed = []
-        prev = None
-        for c in cells:
-            if c != prev:
-                trimmed.append(c)
-                prev = c
-        cells = trimmed
-    return cells
+            cells.extend(cov.cells_from_line(cfg, res, i, j, plane))
+    u = np.asarray(cells, dtype=np.uint64)
+    keep = np.ones(len(u), dtype=bool)  # sequential dedup
+    keep[1:] = u[1:] != u[:-1]
+    return _strs(u[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +299,7 @@ def rhp_successor(rhpindex: str, cfg: EngineConfig = WGS84_003):
     if not rhp_is_valid(rhpindex, cfg):
         return None
     nxt = su.successor(su.from_string([rhpindex]), cfg)[0]
-    return None if int(nxt) == 0 else _s(int(nxt))
+    return None if int(nxt) == 0 else _strs([nxt])[0]
 
 
 def rhp_predecessor(rhpindex: str, cfg: EngineConfig = WGS84_003):
@@ -312,7 +307,7 @@ def rhp_predecessor(rhpindex: str, cfg: EngineConfig = WGS84_003):
     if not rhp_is_valid(rhpindex, cfg):
         return None
     prv = su.predecessor(su.from_string([rhpindex]), cfg)[0]
-    return None if int(prv) == 0 else _s(int(prv))
+    return None if int(prv) == 0 else _strs([prv])[0]
 
 
 def rhp_suid_rowcol(rhpindex: str, cfg: EngineConfig = WGS84_003):
@@ -320,7 +315,7 @@ def rhp_suid_rowcol(rhpindex: str, cfg: EngineConfig = WGS84_003):
     if not rhp_is_valid(rhpindex, cfg):
         return None
     r, c = su.suid_rowcol(su.from_string([rhpindex]), cfg)
-    return _s(int(r[0])), _s(int(c[0]))
+    return tuple(_strs([r[0], c[0]]))
 
 
 def rhp_interval(a: str, b: str, cfg: EngineConfig = WGS84_003):
@@ -329,7 +324,7 @@ def rhp_interval(a: str, b: str, cfg: EngineConfig = WGS84_003):
         return None
     ua = int(su.from_string([a])[0])
     ub = int(su.from_string([b])[0])
-    return [_s(int(c)) for c in su.interval_cells(ua, ub, cfg)]
+    return _strs(su.interval_cells(ua, ub, cfg))
 
 
 def num_cells(res_1: int, res_2: int = None, subcells: bool = False,
@@ -409,14 +404,15 @@ def get_finest_containing_cell(poly, cfg: EngineConfig = WGS84_003):
     from rhealpixdggs_py_ray.core import conversion as cz
 
     u = cz.get_finest_containing_cell(poly, cfg)
-    return None if u is None else _s(int(u))
+    return None if u is None else _strs([u])[0]
 
 
 def cell_zone_from_poly(poly, res_limit: int, cfg: EngineConfig = WGS84_003):
     """conversion.py:40-111; [(SUID string, kind), ...]."""
     from rhealpixdggs_py_ray.core import conversion as cz
 
-    return [(_s(int(u)), k) for u, k in cz.cell_zone_from_poly(poly, res_limit, cfg)]
+    zone = cz.cell_zone_from_poly(poly, res_limit, cfg)
+    return list(zip(_strs([u for u, _ in zone]), [k for _, k in zone]))
 
 
 def seeded_random_cell(i: int, max_res: int = 10, cfg: EngineConfig = WGS84_003) -> str:

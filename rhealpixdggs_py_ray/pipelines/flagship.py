@@ -90,7 +90,7 @@ def spatial_join_tiling(
         tile = su.parent(u, tile_res)
         batch = batch.append_column("tile_u64", pa.array(tile, type=pa.uint64()))
         return batch.append_column(
-            "tile_id", pa.array(su.to_string_fixed(tile, tile_res))
+            "tile_id", su.to_string_fixed(tile, tile_res)
         )
 
     ds = ds.map_batches(assign_tile, batch_format="pyarrow", batch_size=batch_size,

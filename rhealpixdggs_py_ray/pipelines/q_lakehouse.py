@@ -247,7 +247,7 @@ def q_resumable_tiling(sf_dir: str):
     s = np.zeros(len(uq), dtype=np.int64)
     np.add.at(s, inv, v)
     return pa.table({
-        "tile_id": pa.array(su.to_string_fixed(uq, TILE_RES)),
+        "tile_id": su.to_string_fixed(uq, TILE_RES),
         "n": pa.array(s),
     })
 
@@ -828,9 +828,9 @@ def q_range_shards(sf_dir: str):
     ).to_pandas()  # bounded by the res-K grid
     u = counts["cell_u64"].to_numpy().astype(np.uint64)
     n = counts["n"].to_numpy().astype(np.int64)
-    cid = su.to_string_fixed(u, SHARDS_RES)
-    order = np.argsort(cid)
-    cid, n = cid[order], n[order]
+    order = np.argsort(u)
+    cid = su.to_string_fixed(u[order], SHARDS_RES).to_numpy(zero_copy_only=False)
+    n = n[order]
     total = int(n.sum())
     cum_before = np.cumsum(n) - n
     shard = (cum_before * SHARDS_S) // total
@@ -896,9 +896,9 @@ def q_merkle_tiles(sf_dir: str):
         ids = batch["event_id"].to_numpy(zero_copy_only=False)
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
         h = md5_u64_many([str(int(i)) for i in ids]).astype(np.uint64)
-        t_uniq, t_inv = np.unique(tile, return_inverse=True)
+        u_uniq, t_inv = np.unique(u, return_inverse=True)
+        t_uniq = su.to_string_fixed(u_uniq, TILE_RES).to_numpy(zero_copy_only=False)
         s = np.zeros(len(t_uniq), dtype=np.uint64)
         np.add.at(s, t_inv, h)  # wraparound mod 2^64 by dtype
         hb = (pd.util.hash_array(t_uniq) % np.uint64(nb)).astype(np.int64)
@@ -1115,7 +1115,7 @@ def q_rendezvous_shards(sf_dir: str):
 
     def place(batch: pa.Table) -> pa.Table:
         u = batch["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        tiles = su.to_string_fixed(u, 2)
+        tiles = su.to_string_fixed(u, 2).to_pylist()
         S, R = RENDEZVOUS_SERVERS, RENDEZVOUS_R
         n = len(tiles)
         H = np.empty((n, S), dtype=np.uint64)
@@ -1770,7 +1770,7 @@ def q_k_anonymity(sf_dir: str):
         et = np.asarray(batch["event_type"].to_pylist(), dtype=object)
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
+        tile = su.to_string_fixed(u, TILE_RES).to_pylist()
         key = np.array([f"{a}\x00{b}\x00{c}"
                         for a, b, c in zip(tile, et, uid)], dtype=object)
         uq, cnt = np.unique(key, return_counts=True)

@@ -2119,8 +2119,7 @@ def q_image_curation(sf_dir: str):
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
         uq, cnt = np.unique(u, return_counts=True)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(
-                uq.astype(np.uint64), TILE_RES)),
+            "tile_id": su.to_string_fixed(uq.astype(np.uint64), TILE_RES),
             "n": pa.array(cnt.astype(np.int64)),
         })
 

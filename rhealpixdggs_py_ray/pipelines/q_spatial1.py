@@ -32,7 +32,7 @@ def q_cell_from_point_lon0(sf_dir: str):
         u = idx.cell_from_point(CFG_LON0, RES, lon, lat, plane=False)
         return pa.table({
             "event_id": batch["event_id"],
-            "cell_id": pa.array(su.to_string_fixed(u, RES), type=pa.string()),
+            "cell_id": su.to_string_fixed(u, RES),
         })
 
     return ds.map_batches(index, batch_format="pyarrow", zero_copy_batch=True)
@@ -106,7 +106,7 @@ def q_cell_from_point_radians(sf_dir: str):
     u = idx.cell_from_point(WGS84_003_RADIANS, RES, lon, lat, plane=False)
     return pa.table({
         "pid": pa.array(ids),
-        "cell_id": pa.array(su.to_string_fixed(u, RES), type=pa.string()),
+        "cell_id": su.to_string_fixed(u, RES),
     })
 
 
@@ -137,7 +137,7 @@ def q_cell_from_point_shifted(sf_dir: str):
         u = idx.cell_from_point(CFG_SHIFTED, RES, lon, lat, plane=False)
         return pa.table({
             "event_id": batch["event_id"],
-            "cell_id": pa.array(su.to_string_fixed(u, RES), type=pa.string()),
+            "cell_id": su.to_string_fixed(u, RES),
         })
 
     return ds.map_batches(index, batch_format="pyarrow", zero_copy_batch=True)
@@ -295,8 +295,7 @@ def q_zonal_stats(sf_dir: str):
             (min(max(lons) + pad, 179.9), max(min(lats) - pad, -89.9)),
             (max(min(lons) - pad, -180.0), max(min(lats) - pad, -89.9)),
         ])
-        cells = W.polyfill(bbox, COVER_RES, plane=False, cfg=CFG)
-        zone_cells.append(np.sort(su.from_string(sorted(cells))))
+        zone_cells.append(W.polyfill_u64(bbox, COVER_RES, plane=False, cfg=CFG))
     allc = np.unique(np.concatenate(zone_cells))
     mask = np.zeros(len(allc), dtype=np.int64)
     for z, zc in enumerate(zone_cells):
@@ -356,7 +355,7 @@ def q_grid(sf_dir: str):
     def to_suid(batch: pa.Table) -> pa.Table:
         i = batch["id"].to_numpy(zero_copy_only=False)
         u = su.suid_from_level_order_index(i + base, CFG)
-        return pa.table({"cell_id": pa.array(su.to_string_fixed(u, GRID_RES))})
+        return pa.table({"cell_id": su.to_string_fixed(u, GRID_RES)})
 
     return ray.data.range(total, override_num_blocks=sizing.range_blocks(total, 8)).map_batches(
         to_suid, batch_format="pyarrow", zero_copy_batch=True
@@ -380,7 +379,7 @@ def q_grid_ul_r4(sf_dir: str):
         u = su.suid_from_level_order_index(i + base, CFG)
         x, y = idx.ul_vertex(CFG, u)
         return pa.table({
-            "cell_id": pa.array(su.to_string_fixed(u, GRID_UL_RES)),
+            "cell_id": su.to_string_fixed(u, GRID_UL_RES),
             "xul_micros": pa.array(np.floor(x * 1e6).astype(np.int64)),
             "yul_micros": pa.array(np.floor(y * 1e6).astype(np.int64)),
         })
@@ -745,7 +744,7 @@ def q_cell_geometry(sf_dir: str):
         shape_names = np.array(idx.SHAPE_NAMES)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 2)),
+                "cell_id": su.to_string_fixed(u, 2),
                 "nuc_lon_micros": pa.array(np.floor(nlon * 1e6).astype(np.int64)),
                 "nuc_lat_micros": pa.array(np.floor(nlat * 1e6).astype(np.int64)),
                 "shape": pa.array(
@@ -776,7 +775,7 @@ def q_cell_geometry_r3(sf_dir: str):
         shape_names = np.array(idx.SHAPE_NAMES)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, res3)),
+                "cell_id": su.to_string_fixed(u, res3),
                 "nuc_lon_micros": pa.array(np.floor(nlon * 1e6).astype(np.int64)),
                 "nuc_lat_micros": pa.array(np.floor(nlat * 1e6).astype(np.int64)),
                 "shape": pa.array(
@@ -809,7 +808,7 @@ def q_cell_geometry_radians(sf_dir: str):
         shape_names = np.array(idx.SHAPE_NAMES)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 2)),
+                "cell_id": su.to_string_fixed(u, 2),
                 "nuc_lon_micros": pa.array(np.floor(nlon * 1e6).astype(np.int64)),
                 "nuc_lat_micros": pa.array(np.floor(nlat * 1e6).astype(np.int64)),
                 "shape": pa.array(
@@ -849,9 +848,7 @@ def q_raster_sample_global(sf_dir: str):
         u = idx.cell_from_point(CFG, RASTER_RES, lon, lat, plane=False)
         cu, cnt = np.unique(u, return_counts=True)
         return pa.table({
-            "cell_id": pa.array(
-                su.to_string_fixed(cu, RASTER_RES), type=pa.string()
-            ),
+            "cell_id": su.to_string_fixed(cu, RASTER_RES),
             "n": pa.array(cnt.astype(np.int64)),
         })
 
@@ -901,9 +898,9 @@ def q_hierarchy(sf_dir: str):
             child = su.with_digit(child, lvl, center)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 3)),
-                "parent_id": pa.array(su.to_string_fixed(par, 2)),
-                "center_child_id": pa.array(su.to_string_fixed(child, 5)),
+                "cell_id": su.to_string_fixed(u, 3),
+                "parent_id": su.to_string_fixed(par, 2),
+                "center_child_id": su.to_string_fixed(child, 5),
             }
         )
 
@@ -936,8 +933,8 @@ def q_successor(sf_dir: str):
         nxt = su.successor(u, CFG)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 3)),
-                "successor_id": pa.array(su.to_string_fixed(nxt, 3)),
+                "cell_id": su.to_string_fixed(u, 3),
+                "successor_id": su.to_string_fixed(nxt, 3),
             }
         )
 
@@ -1034,7 +1031,7 @@ def q_minimal_cover(sf_dir: str):
     def to_id(batch: pa.Table) -> pa.Table:
         u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
         return pa.table(
-            {"cell_id": pa.array(su.to_string_fixed(u, 5)),
+            {"cell_id": su.to_string_fixed(u, 5),
              "n_points": batch["n_points"]}
         )
 
@@ -1514,8 +1511,8 @@ def q_predecessor(sf_dir: str):
         prv = su.predecessor(u, CFG)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 3)),
-                "predecessor_id": pa.array(su.to_string_fixed(prv, 3)),
+                "cell_id": su.to_string_fixed(u, 3),
+                "predecessor_id": su.to_string_fixed(prv, 3),
             }
         )
 
@@ -1612,9 +1609,9 @@ def q_suid_rowcol(sf_dir: str):
         r, c = su.suid_rowcol(u, CFG)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 3)),
-                "row_suid": pa.array(su.to_string_fixed(r, 3)),
-                "col_suid": pa.array(su.to_string_fixed(c, 3)),
+                "cell_id": su.to_string_fixed(u, 3),
+                "row_suid": su.to_string_fixed(r, 3),
+                "col_suid": su.to_string_fixed(c, 3),
             }
         )
 
@@ -1696,7 +1693,7 @@ def q_xy_range(sf_dir: str):
         x1, x2, y1, y2 = idx.xy_range(CFG, u)
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 2)),
+                "cell_id": su.to_string_fixed(u, 2),
                 "x_min_mm": pa.array(np.floor(x1 * 1e3).astype(np.int64)),
                 "x_max_mm": pa.array(np.floor(x2 * 1e3).astype(np.int64)),
                 "y_min_mm": pa.array(np.floor(y1 * 1e3).astype(np.int64)),
@@ -1740,7 +1737,7 @@ def q_cell_boundary(sf_dir: str):
         m, npts = pts.shape[0], pts.shape[1]
         return pa.table(
             {
-                "cell_id": pa.array(np.repeat(su.to_string_fixed(u, 2), npts)),
+                "cell_id": su.to_string_fixed(np.repeat(u, npts), 2),
                 "pt_lon_micros": pa.array(
                     np.floor(pts[:, :, 0].ravel() * 1e6).astype(np.int64)
                 ),
@@ -1806,7 +1803,7 @@ def q_cell_interior(sf_dir: str):
         gj = np.tile(np.tile(np.arange(n), n), m)
         return pa.table(
             {
-                "cell_id": pa.array(np.repeat(su.to_string_fixed(u, 1), n * n)),
+                "cell_id": su.to_string_fixed(np.repeat(u, n * n), 1),
                 "gi": pa.array(gi.astype(np.int64)),
                 "gj": pa.array(gj.astype(np.int64)),
                 "pt_lon_micros": pa.array(
@@ -1864,7 +1861,7 @@ def q_cell_contains(sf_dir: str):
     return pa.table(
         {
             "event_id": pa.array(ids),
-            "cell_id": pa.array(su.to_string_fixed(own, CONTAINS_RES)),
+            "cell_id": su.to_string_fixed(own, CONTAINS_RES),
             "in_own": pa.array(in_own),
             "in_next": pa.array(in_next),
         }
@@ -1906,7 +1903,7 @@ def q_cell_overlaps(sf_dir: str):
             n_ov += su.overlaps(u, np.full(u.shape, r, dtype=np.uint64))
         return pa.table(
             {
-                "cell_id": pa.array(su.to_string_fixed(u, 3)),
+                "cell_id": su.to_string_fixed(u, 3),
                 "n_overlapping": pa.array(n_ov),
                 "any_overlap": pa.array(n_ov > 0),
             }
@@ -1988,7 +1985,7 @@ def q_random_points(sf_dir: str):
                 "i": pa.array(i, type=pa.int64()),
                 "x_mm": pa.array(np.floor(xy[:, 0] * 1e3).astype(np.int64)),
                 "y_mm": pa.array(np.floor(xy[:, 1] * 1e3).astype(np.int64)),
-                "cell_id": pa.array(su.to_string_fixed(u, 5)),
+                "cell_id": su.to_string_fixed(u, 5),
             }
         )
 
@@ -2127,7 +2124,7 @@ def q_focal_stats(sf_dir: str):
         np.add.at(n_focal, inv[side == 1], cnt[side == 1])
         keep = n_self > 0
         return pa.table({
-            "cell_id": pa.array(su.to_string_fixed(uniq[keep], FOCAL_RES), type=pa.string()),
+            "cell_id": su.to_string_fixed(uniq[keep], FOCAL_RES),
             "n_self": pa.array(n_self[keep]),
             "n_focal": pa.array(n_focal[keep]),
         })
@@ -2379,7 +2376,6 @@ def q_cap_cover(sf_dir: str):
         qlon = np.floor(nlon * 1e6).astype(np.int64) / 1e6
         qlat = np.floor(nlat * 1e6).astype(np.int64) / 1e6
         x, y, z = proj.xyz(CFG, qlon, qlat)
-        cid = su.to_string_fixed(u, 2)
         out_p, out_c, out_d = [], [], []
         for j in range(CAP_NPOI):
             dx = x - px[j]
@@ -2388,11 +2384,11 @@ def q_cap_cover(sf_dir: str):
             d2 = dx * dx + dy * dy + dz * dz
             hit = d2 <= CAP_D2
             out_p.append(np.full(int(hit.sum()), j, dtype=np.int64))
-            out_c.append(cid[hit])
+            out_c.append(u[hit])
             out_d.append(np.floor(d2[hit] / 1e6).astype(np.int64))
         return pa.table({
             "poi_id": pa.array(np.concatenate(out_p)),
-            "cell_id": pa.array(np.concatenate(out_c), type=pa.string()),
+            "cell_id": su.to_string_fixed(np.concatenate(out_c), 2),
             "d2_mm2": pa.array(np.concatenate(out_d)),
         })
 
@@ -2478,10 +2474,7 @@ def q_uncompact_cells(sf_dir: str):
             out.append(cur)
         allu = np.concatenate(out) if out else np.array([], dtype=np.uint64)
         return pa.table({
-            "cell_id": pa.array(
-                np.sort(su.to_string_fixed(allu, POLYFILL_RES)),
-                type=pa.string(),
-            )
+            "cell_id": su.to_string_fixed(np.sort(allu), POLYFILL_RES)
         })
 
     return ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
@@ -2780,10 +2773,7 @@ def q_space_time_cube(sf_dir: str):
         key = di * len(cu) + ci
         ku, kc = np.unique(key, return_counts=True)
         return pa.table({
-            "cell_id": pa.array(
-                su.to_string_fixed(cu[ku % len(cu)], CUBE_RES),
-                type=pa.string(),
-            ),
+            "cell_id": su.to_string_fixed(cu[ku % len(cu)], CUBE_RES),
             "day": pa.array(du[ku // len(cu)]),
             "n": pa.array(kc.astype(np.int64)),
         })
@@ -3193,13 +3183,8 @@ def q_mixed_res_counts(sf_dir: str):
         cu, ci = np.unique(out[m], return_inverse=True)
         cnt = np.zeros(len(cu), dtype=np.int64)
         np.add.at(cnt, ci, 1)
-        rr = np.array([su.resolution_of(c) for c in cu], dtype=np.int64) \
-            if len(cu) else np.array([], dtype=np.int64)
         return pa.table({
-            "cell_id": pa.array(
-                [su.to_string_fixed(np.array([c], dtype=np.uint64),
-                                    int(r))[0] for c, r in zip(cu, rr)],
-                type=pa.string()),
+            "cell_id": pa.array(su.to_string(cu), type=pa.string()),
             "n": pa.array(cnt),
         })
 
@@ -3288,8 +3273,8 @@ def q_od_matrix(sf_dir: str):
         o_u64 = ((ku >> np.uint64(12)) << np.uint64(52)) | np.uint64(OD_RES)
         d_u64 = ((ku & np.uint64(0xFFF)) << np.uint64(52)) | np.uint64(OD_RES)
         return pa.table({
-            "origin": pa.array(su.to_string_fixed(o_u64, OD_RES), type=pa.string()),
-            "dest": pa.array(su.to_string_fixed(d_u64, OD_RES), type=pa.string()),
+            "origin": su.to_string_fixed(o_u64, OD_RES),
+            "dest": su.to_string_fixed(d_u64, OD_RES),
             "n_user_days": pa.array(n),
         })
 
@@ -4055,11 +4040,7 @@ def q_adaptive_cover(sf_dir: str):
     ).to_pandas()  # bounded by grid size at max res, not by data
     ku = counts_ds["key"].to_numpy().astype(np.uint64)
     r = su.resolution_of(ku)
-    t = np.empty(len(ku), dtype=object)
-    for rr in range(ADAPT_MAX_RES + 1):
-        m_ = r == rr
-        if m_.any():
-            t[m_] = su.to_string_fixed(ku[m_], rr)
+    t = su.to_string(ku)
     n = counts_ds["n"].to_numpy().astype(np.int64)
     parent = np.array([x[:rr] if rr > 0 else "" for x, rr in zip(t, r)],
                       dtype=object)

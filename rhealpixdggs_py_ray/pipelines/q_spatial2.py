@@ -50,11 +50,10 @@ def q_home_cells(sf_dir: str):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, HOME_RES, lon, lat, plane=False)
-        cell = su.to_string_fixed(u, HOME_RES)
         return pa.table({
             "bucket": pa.array(hash_bucket_u64(uid.astype(np.uint64), nb)),
             "user_id": pa.array(uid),
-            "cell": pa.array(cell, type=pa.string()),
+            "cell": su.to_string_fixed(u, HOME_RES),
         })
 
     def resolve(g: pa.Table) -> pa.Table:
@@ -4417,7 +4416,7 @@ def q_revisit_rate(sf_dir: str):
               .astype("datetime64[us]").astype(np.int64))
         lon, lat = oracle.lonlat_from_id(eid)
         u = cidx.cell_from_point(CFG, 3, lon, lat, plane=False)
-        cell = su.to_string_fixed(u, 3)
+        cell = su.to_string_fixed(u, 3).to_pylist()
         is_home = np.array(
             [1 if hm.get(int(uu)) == cc else 0
              for uu, cc in zip(uid, cell)], dtype=np.int64)
@@ -4667,8 +4666,7 @@ def q_tile_cross_density(sf_dir: str):
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
         uq, cnt = np.unique(u, return_counts=True)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(
-                uq.astype(np.uint64), TILE_RES)),
+            "tile_id": su.to_string_fixed(uq.astype(np.uint64), TILE_RES),
             "n": pa.array(cnt.astype(np.int64)),
         })
 
@@ -4817,7 +4815,7 @@ def q_tile_affinity(sf_dir: str):
             (tile[sel].astype(np.uint64)) << np.uint64(52), TILE_RES)
         return pa.table({
             "user_id": pa.array(uid[sel]),
-            "tile_id": pa.array(cell_id.tolist(), type=pa.string()),
+            "tile_id": cell_id,
             "score_e6": pa.array(score[sel]),
         })
 
@@ -4908,7 +4906,7 @@ def q_tile_conversion(sf_dir: str):
     np_ = np.array([buys.get(t, 0) for t in tiles], dtype=np.int64)
     cr = np.where(nv > 0, np_ * 1_000_000 // np.maximum(nv, 1), -1)
     return pa.table({
-        "tile_id": pa.array(tid.tolist(), type=pa.string()),
+        "tile_id": tid,
         "n_views": pa.array(nv),
         "n_purchases": pa.array(np_),
         "cr_e6": pa.array(cr.astype(np.int64)),
@@ -4990,7 +4988,7 @@ def q_tile_weekend_shift(sf_dir: str):
     tid = su.to_string_fixed(
         np.array(tiles, dtype=np.uint64) << np.uint64(52), TILE_RES)
     return pa.table({
-        "tile_id": pa.array(tid.tolist(), type=pa.string()),
+        "tile_id": tid,
         "n_weekday": pa.array(nd),
         "n_weekend": pa.array(nw),
         "shift_e6": pa.array((share - g_share).astype(np.int64)),
@@ -5076,7 +5074,7 @@ def q_tile_peak_hour(sf_dir: str):
     tid = su.to_string_fixed(
         np.array(out["t"], dtype=np.uint64) << np.uint64(52), TILE_RES)
     return pa.table({
-        "tile_id": pa.array(tid.tolist(), type=pa.string()),
+        "tile_id": tid,
         "peak_hour": pa.array(out["h"], type=pa.int64()),
         "n_at_peak": pa.array(out["p"], type=pa.int64()),
         "n_total": pa.array(out["n"], type=pa.int64()),

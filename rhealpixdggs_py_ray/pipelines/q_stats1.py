@@ -1067,7 +1067,7 @@ def q_tile_pyramid(sf_dir: str):
         return pa.table(
             {
                 "res": pa.array(np.concatenate(res_out)),
-                "tile_id": pa.array(np.concatenate(tile_out), type=pa.string()),
+                "tile_id": pa.concat_arrays(tile_out),
                 "n": pa.array(np.concatenate(n_out)),
             }
         )
@@ -2712,10 +2712,11 @@ def q_tile_median(sf_dir: str):
         v = np.floor(
             batch["value"].to_numpy(zero_copy_only=False) * 100
         ).astype(np.int64)
-        h = (pd.util.hash_array(tile.astype(object)) % np.uint64(nb)).astype(np.int64)
+        h = (pd.util.hash_array(tile.to_numpy(zero_copy_only=False))
+             % np.uint64(nb)).astype(np.int64)
         return pa.table({
             "bucket": pa.array(h),
-            "tile_id": pa.array(tile, type=pa.string()),
+            "tile_id": tile,
             "v": pa.array(v),
         })
 
@@ -2813,8 +2814,7 @@ def q_tile_hll(sf_dir: str):
         key = batch["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
         t_u64 = ((key >> np.uint64(8)) << np.uint64(52)) | np.uint64(TILE_RES)
         return pa.table({
-            "tile_id": pa.array(
-                su.to_string_fixed(t_u64, TILE_RES), type=pa.string()),
+            "tile_id": su.to_string_fixed(t_u64, TILE_RES),
             "reg": pa.array((key & np.uint64(0xFF)).astype(np.int64)),
             "rho": pa.array(batch["rho"]),
         })
@@ -3290,12 +3290,11 @@ def q_tile_change(sf_dir: str):
         ts = batch["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
         after = (ts >= split).astype(np.int64)
-        df = pd.DataFrame({"t": tile, "a": after})
+        df = pd.DataFrame({"t": u, "a": after})
         g = df.groupby(["t", "a"], sort=False).size().reset_index(name="n")
         return pa.table({
-            "tile_id": pa.array(g["t"].to_numpy(), type=pa.string()),
+            "tile_id": su.to_string_fixed(g["t"].to_numpy(), TILE_RES),
             "n_before": pa.array(
                 np.where(g["a"].to_numpy() == 0, g["n"].to_numpy(), 0
                          ).astype(np.int64)),
@@ -3654,8 +3653,7 @@ def q_tile_modality_balance(sf_dir: str):
         np.add.at(si, inv, ni)
         np.add.at(se, inv, ne)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(uq, TILE_RES),
-                                type=pa.string()),
+            "tile_id": su.to_string_fixed(uq, TILE_RES),
             "n_images": pa.array(si),
             "n_events": pa.array(se),
             "img_share_e6": pa.array((si * 1_000_000) // (si + se)),
@@ -3753,8 +3751,7 @@ def q_tile_gini(sf_dir: str):
         np.maximum.at(top, inv, cnt)
         t_u64 = (tu << np.uint64(52)) | np.uint64(TILE_RES)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                                type=pa.string()),
+            "tile_id": su.to_string_fixed(t_u64, TILE_RES),
             "n_events": pa.array(n),
             "n_types": pa.array(nt),
             "top_cnt": pa.array(top),
@@ -3884,10 +3881,8 @@ def q_tile_similarity(sf_dir: str):
         nb_ = np.array([tile_users[int(x)] for x in tb], dtype=np.int64)
         res = np.uint64(TILE_RES)
         return pa.table({
-            "tile_a": pa.array(su.to_string_fixed(
-                (ta << np.uint64(52)) | res, TILE_RES), type=pa.string()),
-            "tile_b": pa.array(su.to_string_fixed(
-                (tb << np.uint64(52)) | res, TILE_RES), type=pa.string()),
+            "tile_a": su.to_string_fixed((ta << np.uint64(52)) | res, TILE_RES),
+            "tile_b": su.to_string_fixed((tb << np.uint64(52)) | res, TILE_RES),
             "n_common": pa.array(nc),
             "n_a": pa.array(na),
             "n_b": pa.array(nb_),
@@ -5251,8 +5246,7 @@ def q_haar_energy(sf_dir: str):
         t_u64 = (np.array(tiles_out, dtype=np.uint64) << np.uint64(52)) \
             | np.uint64(TILE_RES)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                                type=pa.string()),
+            "tile_id": su.to_string_fixed(t_u64, TILE_RES),
             "level": pa.array(np.array(levels_out, dtype=np.int64)),
             "energy": pa.array(np.array(en_out, dtype=np.int64)),
         })

@@ -408,8 +408,7 @@ def q_eb_shrinkage(sf_dir: str):
     t_u64 = (np.array([o[0] for o in out], dtype=np.uint64)
              << np.uint64(52)) | np.uint64(TILE_RES)
     return pa.table({
-        "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                            type=pa.string()),
+        "tile_id": su.to_string_fixed(t_u64, TILE_RES),
         "x": pa.array(np.array([o[1] for o in out], dtype=np.int64)),
         "n": pa.array(np.array([o[2] for o in out], dtype=np.int64)),
         "raw_e9": pa.array(np.array([o[3] for o in out], dtype=np.int64)),
@@ -593,8 +592,7 @@ def q_facility_placement(sf_dir: str):
              << np.uint64(52)) | np.uint64(TILE_RES)
     return pa.table({
         "rank": pa.array(np.array([o[0] for o in out], dtype=np.int64)),
-        "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                            type=pa.string()),
+        "tile_id": su.to_string_fixed(t_u64, TILE_RES),
         "gain": pa.array(np.array([o[2] for o in out], dtype=np.int64)),
         "covered_total": pa.array(np.array([o[3] for o in out],
                                            dtype=np.int64)),
@@ -1726,7 +1724,7 @@ def q_simpson_diversity(sf_dir: str):
         et = np.asarray(batch["event_type"].to_pylist(), dtype=object)
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
+        tile = su.to_string_fixed(u, TILE_RES).to_pylist()
         key = np.array([a + "\x00" + b for a, b in zip(tile, et)],
                        dtype=object)
         uq, cnt = np.unique(key, return_counts=True)
@@ -4179,7 +4177,7 @@ def q_tile_jsd(sf_dir: str):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
+        tile = su.to_string_fixed(u, TILE_RES).to_pylist()
         arm = (uid % 2).astype(np.int64)
         key = np.array([f"{t}\x00{a}" for t, a in zip(tile, arm)],
                        dtype=object)

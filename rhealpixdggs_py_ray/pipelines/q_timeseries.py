@@ -1502,8 +1502,7 @@ def q_tile_burst(sf_dir: str):
         t_u64 = (np.array(rows["tile"], dtype=np.uint64) << np.uint64(52)) \
             | np.uint64(TILE_RES)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                                type=pa.string()),
+            "tile_id": su.to_string_fixed(t_u64, TILE_RES),
             "n_events": pa.array(np.array(rows["n"], dtype=np.int64)),
             "n_days_active": pa.array(np.array(rows["na"], dtype=np.int64)),
             "n_zero_days": pa.array(np.array(rows["nz"], dtype=np.int64)),
@@ -1640,8 +1639,7 @@ def q_tile_forecast(sf_dir: str):
         ns = np.array(rows["ns"], dtype=np.int64)
         err = np.array(rows["err"], dtype=np.int64)
         return pa.table({
-            "tile_id": pa.array(su.to_string_fixed(t_u64, TILE_RES),
-                                type=pa.string()),
+            "tile_id": su.to_string_fixed(t_u64, TILE_RES),
             "n_scored": pa.array(ns),
             "total_abs_err": pa.array(err),
             "mae_milli": pa.array(err * 1000 // ns),
@@ -3249,13 +3247,12 @@ def q_tile_recency(sf_dir: str):
                .astype("datetime64[D]").astype(np.int64))
         lon, lat = oracle.lonlat_from_id(ids)
         u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-        tile = su.to_string_fixed(u, TILE_RES)
-        uq, inv = np.unique(tile, return_inverse=True)
+        uq, inv = np.unique(u, return_inverse=True)
         mx = np.full(len(uq), np.iinfo(np.int64).min, dtype=np.int64)
         np.maximum.at(mx, inv, day)
         n = np.bincount(inv, minlength=len(uq)).astype(np.int64)
         return pa.table({
-            "tile": pa.array(list(uq), type=pa.string()),
+            "tile": su.to_string_fixed(uq, TILE_RES),
             "mx": pa.array(mx), "n": pa.array(n),
         })
 

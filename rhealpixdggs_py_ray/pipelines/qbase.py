@@ -92,7 +92,7 @@ class DeriveAndIndex:
                 "lon": pa.array(lon, type=pa.float64()),
                 "lat": pa.array(lat, type=pa.float64()),
                 "cell_u64": pa.array(u, type=pa.uint64()),
-                "cell_id": pa.array(su.to_string_fixed(u, self.resolution)),
+                "cell_id": su.to_string_fixed(u, self.resolution),
             }
         )
 
@@ -141,7 +141,7 @@ def _cell_from_point_cfg_q(cfg: EngineConfig, res: int = RES):
             u = idx.cell_from_point(cfg, res, lon, lat, plane=False)
             return pa.table({
                 "event_id": batch["event_id"],
-                "cell_id": pa.array(su.to_string_fixed(u, res), type=pa.string()),
+                "cell_id": su.to_string_fixed(u, res),
             })
 
         return ds.map_batches(index, batch_format="pyarrow", zero_copy_batch=True)

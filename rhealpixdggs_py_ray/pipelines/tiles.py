@@ -97,6 +97,6 @@ def aggregate_tiles(
 
     def add_id(batch: pa.Table) -> pa.Table:
         u = batch["tile_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column("tile_id", pa.array(su.to_string_fixed(u, tile_res)))
+        return batch.append_column("tile_id", su.to_string_fixed(u, tile_res))
 
     return merged.map_batches(add_id, batch_format="pyarrow")

@@ -70,7 +70,7 @@ class CellIndexer:
             cols["lat"] = pa.array(lat, type=pa.float64())
         cols["cell_u64"] = pa.array(u, type=pa.uint64())
         if self.emit_cell_id:
-            cols["cell_id"] = pa.array(su.to_string_fixed(u, self.resolution))
+            cols["cell_id"] = su.to_string_fixed(u, self.resolution)
         cols["face"] = pa.array(su.face_of(u).astype(np.int8), type=pa.int8())
         return pa.table(cols)
 

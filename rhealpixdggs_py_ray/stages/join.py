@@ -34,8 +34,9 @@ def make_cover_ref(
 ):
     """Build a polygon's polyfill cover (sorted uint64 keys) and put it
     in the object store once.  Returns (ObjectRef, n_cells)."""
-    cells = W.polyfill(geometry, res, plane=plane, cfg=cfg)
-    keys = np.sort(su.from_string(sorted(cells))) if cells else np.empty(0, np.uint64)
+    keys = W.polyfill_u64(geometry, res, plane=plane, cfg=cfg)
+    if keys is None:
+        keys = np.empty(0, dtype=np.uint64)
     return ray.put(keys), len(keys)
 
 

@@ -396,7 +396,7 @@ def test_radians_cell_from_point_differential(reference):
     lon = -3.0 + 6.0 * ((ids * 73 % 256) / 256.0)
     lat = -1.5 + 3.0 * ((ids * 151 % 512) / 512.0)
     u = idx.cell_from_point(WGS84_003_RADIANS, 6, lon, lat, plane=False)
-    ours = list(su.to_string_fixed(u, 6))
+    ours = su.to_string_fixed(u, 6).to_pylist()
     theirs = [
         str(rd.cell_from_point(6, (float(a), float(b)), plane=False))
         for a, b in zip(lon, lat)

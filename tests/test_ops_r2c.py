@@ -80,7 +80,7 @@ def test_focal_stats_against_topology_neighbors(ray_session):
     for _, r in df.head(50).iterrows():
         u = int(su.from_string([r["cell_id"]])[0])
         ring = [
-            su.to_string_fixed(np.array([c], dtype=np.uint64), FOCAL_RES)[0]
+            su.to_string_fixed(np.array([c], dtype=np.uint64), FOCAL_RES).to_pylist()[0]
             for c in tp.k_ring(CFG, u, 1)
         ]
         total = sum(counts.get(c, 0) for c in ring)

@@ -269,7 +269,7 @@ def test_grid_flood_bfs_invariants(ray_session):
     lon, lat = oracle.lonlat_from_id(ids)
     m = np.abs(lat) <= Q.DISSOLVE_LAT
     u = cidx.cell_from_point(Q.CFG, k, lon[m], lat[m], plane=False)
-    cells = su.to_string_fixed(u, k)
+    cells = su.to_string_fixed(u, k).to_numpy(zero_copy_only=False)
     occ = set(cells)
     seeds = set(cells[(ids[m] % Q.FLOOD_SEED_MOD) == 0])
     got0 = set(df[df["dist"] == 0]["cell_id"])
@@ -333,7 +333,7 @@ def test_adaptive_cover_partitions_points(ray_session):
     ev = pq.read_table(f"{SF}/events.parquet", columns=["event_id"])
     lon, lat = oracle.lonlat_from_id(ev["event_id"].to_numpy())
     u = cidx.cell_from_point(Q.CFG, Q.ADAPT_MAX_RES, lon, lat, plane=False)
-    full = su.to_string_fixed(u, Q.ADAPT_MAX_RES)
+    full = su.to_string_fixed(u, Q.ADAPT_MAX_RES).to_numpy(zero_copy_only=False)
     cover_set = set(cells)
     hits = np.zeros(len(full), dtype=np.int64)
     counts = {}
@@ -415,7 +415,7 @@ def test_pair_counts_brute(ray_session):
     ids, lon, lat = ids[m], lon[m], lat[m]
     x, y, z = proj.xyz(Q.CFG, lon, lat)
     u = cidx.cell_from_point(Q.CFG, Q.PAIR_RES, lon, lat, plane=False)
-    cell = su.to_string_fixed(u, Q.PAIR_RES)
+    cell = su.to_string_fixed(u, Q.PAIR_RES).to_numpy(zero_copy_only=False)
     X = np.stack([x, y, z], axis=1)
     D = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
     hit = (D <= Q.PAIR_R_M ** 2) & (ids[:, None] < ids[None, :])

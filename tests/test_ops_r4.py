@@ -1205,7 +1205,7 @@ def test_tile_trigrams_invariants(ray_session):
       FROM '{SF}/events.parquet' ORDER BY user_id, ts, event_id""").df()
     lon, lat = oracle.lonlat_from_id(d["event_id"].to_numpy())
     u = cidx.cell_from_point(CFG, TILE_RES, lon, lat, plane=False)
-    tiles = su.to_string_fixed(u, TILE_RES)
+    tiles = su.to_string_fixed(u, TILE_RES).to_numpy(zero_copy_only=False)
     from collections import Counter
     c: Counter = Counter()
     uid = d["user_id"].to_numpy()

@@ -190,7 +190,7 @@ def test_radians_oracle_sql_parity():
     lon = -3.0 + 6.0 * ((ids * 73 % 256) / 256.0)
     lat = -1.5 + 3.0 * ((ids * 151 % 512) / 512.0)
     u = idx.cell_from_point(RCFG, 6, lon, lat, plane=False)
-    eng = list(su.to_string_fixed(u, 6))
+    eng = su.to_string_fixed(u, 6).to_pylist()
     pts = (
         "SELECT k AS pid,"
         " -3.0 + 6.0 * (CAST(k * 73 % 256 AS DOUBLE) / 256.0) AS lon,"
@@ -208,7 +208,7 @@ def test_radians_oracle_sql_parity():
     uu = su.suid_from_level_order_index(np.arange(total) + base, RCFG)
     nlon, nlat = idx.nucleus(RCFG, uu, plane=False)
     eng2 = sorted(zip(
-        su.to_string_fixed(uu, 2),
+        su.to_string_fixed(uu, 2).to_pylist(),
         np.floor(nlon * 1e6).astype(np.int64),
         np.floor(nlat * 1e6).astype(np.int64),
     ))

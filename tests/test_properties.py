@@ -50,7 +50,7 @@ def test_parent_contains_child(lon, lat, res):
 @given(lon=lon_s, lat=lat_s, res=res_s)
 def test_pack_string_roundtrip(lon, lat, res):
     u = idx.cell_from_point(CFG, res, np.array([lon]), np.array([lat]), plane=False)
-    s = su.to_string_fixed(u, res)[0]
+    s = su.to_string_fixed(u, res).to_pylist()[0]
     assert su.from_string([s])[0] == u[0]
     t = su.suid_tuple(int(u[0]))
     assert su.from_suid_tuple(t) == int(u[0])
