@@ -31,52 +31,23 @@ def hash_bucket_u64(ids: np.ndarray, n_buckets: int) -> np.ndarray:
     )
 
 
-def sum_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
-                   n_buckets: int = 32):
-    """Exact per-key int64 sums for a uint64 key column.  Returns a
-    Dataset with (key_col, out_val)."""
+def _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets, init, at):
+    """Per-key int64 fold of a uint64 key column: per-batch np.unique
+    combine, hash buckets, one bucket exchange, per-bucket combine.
+    ``at`` is the ufunc ``.at`` (np.add.at, np.maximum.at) and
+    ``init`` its identity."""
     n_buckets = sizing.exchange_buckets(n_buckets)
 
-    def combine_batch(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = batch[val_col].to_numpy(zero_copy_only=False)
+    def fold(k, v):
         uq, inv = np.unique(k, return_inverse=True)
-        s = np.zeros(len(uq), dtype=np.int64)
-        np.add.at(s, inv, v)
-        bucket = hash_bucket_u64(uq, n_buckets)
-        return pa.table(
-            {key_col: pa.array(uq, type=pa.uint64()),
-             out_val: pa.array(s),
-             "bucket": pa.array(bucket)}
-        )
-
-    def combine_group(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or key_col not in g.column_names:
-            return pa.table({key_col: pa.array([], type=pa.uint64()),
-                             out_val: pa.array([], type=pa.int64())})
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = g[out_val].to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(k, return_inverse=True)
-        s = np.zeros(len(uq), dtype=np.int64)
-        np.add.at(s, inv, v)
-        return pa.table({key_col: pa.array(uq), out_val: pa.array(s)})
-
-    partial = ds.map_batches(combine_batch, batch_format="pyarrow", zero_copy_batch=True)
-    return partial.groupby("bucket").map_groups(combine_group, batch_format="pyarrow")
-
-
-def max_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
-                   n_buckets: int = 32):
-    """Exact per-key int64 maxima for a uint64 key column (mergeable
-    register folds: HLL, per-key peaks).  Returns (key_col, out_val)."""
-    n_buckets = sizing.exchange_buckets(n_buckets)
+        s = np.full(len(uq), init, dtype=np.int64)
+        at(s, inv, v)
+        return uq, s
 
     def combine_batch(batch: pa.Table) -> pa.Table:
-        k = batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = batch[val_col].to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(k, return_inverse=True)
-        s = np.full(len(uq), np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(s, inv, v)
+        uq, s = fold(
+            batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64),
+            batch[val_col].to_numpy(zero_copy_only=False))
         return pa.table(
             {key_col: pa.array(uq, type=pa.uint64()),
              out_val: pa.array(s),
@@ -87,15 +58,29 @@ def max_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
         if g.num_rows == 0 or key_col not in g.column_names:
             return pa.table({key_col: pa.array([], type=pa.uint64()),
                              out_val: pa.array([], type=pa.int64())})
-        k = g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = g[out_val].to_numpy(zero_copy_only=False)
-        uq, inv = np.unique(k, return_inverse=True)
-        s = np.full(len(uq), np.iinfo(np.int64).min, dtype=np.int64)
-        np.maximum.at(s, inv, v)
+        uq, s = fold(
+            g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64),
+            g[out_val].to_numpy(zero_copy_only=False))
         return pa.table({key_col: pa.array(uq), out_val: pa.array(s)})
 
     partial = ds.map_batches(combine_batch, batch_format="pyarrow", zero_copy_batch=True)
     return partial.groupby("bucket").map_groups(combine_group, batch_format="pyarrow")
+
+
+def sum_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
+                   n_buckets: int = 32):
+    """Exact per-key int64 sums for a uint64 key column.  Returns a
+    Dataset with (key_col, out_val)."""
+    return _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets,
+                            0, np.add.at)
+
+
+def max_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
+                   n_buckets: int = 32):
+    """Exact per-key int64 maxima for a uint64 key column (mergeable
+    register folds: HLL, per-key peaks).  Returns (key_col, out_val)."""
+    return _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets,
+                            np.iinfo(np.int64).min, np.maximum.at)
 
 
 def pareto_front_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:

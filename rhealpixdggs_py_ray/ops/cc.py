@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from rhealpixdggs_py_ray import sizing
+from rhealpixdggs_py_ray.ops import graph
 
 from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64 as _bucket_of
 
@@ -98,22 +99,25 @@ def spanning_forest(pairs_ds, a_col: str = "a", b_col: str = "b",
 
 def connected_components(pairs_ds, a_col: str = "a", b_col: str = "b",
                          n_buckets: int = 32, max_iters: int = 50,
-                         driver_cap: int = 8_000_000):
+                         driver_cap: int | None = None):
     """pairs Dataset -> Dataset(doc_id, cluster_id, keep).
 
     Fast path: one spanning-forest exchange reduces the graph to
-    O(paired nodes) rows; if that fits under ``driver_cap`` (8M rows
-    ≈ 128 MB — a bounded take, not an O(corpus) materialization) the
-    components are finished with an exact driver union-find.  Beyond
-    the cap it falls back to the fully distributed hash-min iteration
-    (``connected_components_iterative``), which never gathers anything
-    larger than a scalar to the driver.
+    O(paired nodes) rows; if that fits under ``driver_cap`` (default
+    ``graph.DRIVER_EDGE_CAP``, 8M rows ≈ 128 MB — a bounded take, not
+    an O(corpus) materialization) the components are finished with an
+    exact driver union-find.  Beyond the cap it falls back to the fully
+    distributed hash-min iteration (``connected_components_iterative``),
+    which never gathers anything larger than a scalar to the driver.
 
     Only nodes that appear in a pair are labeled (unpaired docs are
     trivially their own cluster and never enter the exchange).
     """
     n_buckets = sizing.exchange_buckets(n_buckets)
     import ray.data as _rd
+
+    if driver_cap is None:
+        driver_cap = graph.DRIVER_EDGE_CAP
 
     # Map-side sparsification, NO shuffle: a spanning forest of any
     # edge subset preserves connectivity, so replacing each input

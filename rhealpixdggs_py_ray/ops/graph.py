@@ -277,9 +277,22 @@ def k_core_distributed(edges_ds, k: int, iters: int):
 # training-data analytics).
 # ---------------------------------------------------------------------------
 
-DRIVER_EDGE_CAP = 8_000_000   # gathered-edge bound (ops/cc.py budget)
+DRIVER_EDGE_CAP = 8_000_000   # rows any driver-side path may gather
 DRIVER_NODE_CAP = 20_000      # bitset row bound (N x N/64 u64 matrix)
 SUPPORT_MARK = 1 << 40        # in-fold edge marker; support < 2^40 always
+
+
+class DriverCapExceeded(RuntimeError):
+    """A driver-side path was handed more rows than DRIVER_EDGE_CAP."""
+
+
+def check_driver_cap(n: int, what: str) -> None:
+    """Raise DriverCapExceeded when ``n`` rows exceed DRIVER_EDGE_CAP
+    (read at call time, so tests can lower it).  A raise, not an
+    assert: ``python -O`` must not drop the bound."""
+    if n > DRIVER_EDGE_CAP:
+        raise DriverCapExceeded(
+            f"{what}: {n:,} rows exceed the driver cap {DRIVER_EDGE_CAP:,}")
 
 
 def edge_support_fold(edges_ds, n_buckets: int = 8):

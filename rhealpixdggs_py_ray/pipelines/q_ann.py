@@ -1464,7 +1464,7 @@ def q_negative_samples(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "negative_samples")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))

@@ -1331,7 +1331,7 @@ def q_kmv_join_estimate(sf_dir: str):
     # truth validation gathers the distinct-user sets under the same
     # 8M driver cap as ops/cc.py; the K-bounded sketches ARE the
     # at-scale path (drop exact_inter beyond the cap)
-    assert sum(len(us) for us in users.values()) <= 8_000_000
+    check_driver_cap(sum(len(us) for us in users.values()), "kmv_join_estimate")
     sk = {tp: sorted(md5_u64(str(u)) for u in us)[:K]
           for tp, us in users.items()}
     exact = len(users["click"] & users["view"])

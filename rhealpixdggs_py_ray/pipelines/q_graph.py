@@ -7,9 +7,10 @@ from rhealpixdggs_py_ray.pipelines.qbase import *  # noqa: F401,F403
 from rhealpixdggs_py_ray.pipelines.q_multimodal import q_image_neardup, sql_image_neardup  # noqa: F401
 from rhealpixdggs_py_ray.pipelines.q_spatial2 import q_home_cells, sql_home_cells  # noqa: F401
 
-# ops/cc.py's union-find cap: 8M nodes = 64 MB; beyond it the rank
-# table must live as a src-bucketed dataset joined to the edges each
-# iteration — the hash-min CC shape, 2 exchanges/iteration)
+# q_pagerank's rank vector shares ops/graph.DRIVER_EDGE_CAP (8M nodes =
+# 64 MB); beyond it the rank table lives as a src-bucketed dataset
+# joined to the edges each iteration (the hash-min CC shape, 2
+# exchanges/iteration).
 
 
 def q_pagerank(sf_dir: str):
@@ -25,10 +26,11 @@ def q_pagerank(sf_dir: str):
     vector (n_nodes-bounded, cap documented above; k-means syncs k*d
     the same way).  Returns the top-20 nodes by final rank."""
     from rhealpixdggs_py_ray.fixtures import splitmix64
+    from rhealpixdggs_py_ray.ops import graph as _graph
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id"])
     n = int(ds.max("user_id")) + 1
-    if n > PAGERANK_NODE_CAP:
+    if n > _graph.DRIVER_EDGE_CAP:
         # beyond the driver-vector budget: the fully distributed path
         # (bucketed rank dataset, 2 exchanges/iteration) takes over
         return q_pagerank_distributed(sf_dir)
@@ -408,15 +410,16 @@ def q_k_core(sf_dir: str):
     edge set is < K, then drop edges touching a dropped user; report
     the endpoints of the final edge set with their within-core degree.
     The edge list is the cached co-presence graph; peeling runs on the
-    driver over the gathered edge array (bounded: asserts <= 8M edges,
-    the ops/cc.py driver-union-find cap — beyond it the peel IS the
+    driver over the gathered edge array (bounded by
+    ops/graph.DRIVER_EDGE_CAP, 8M edges — beyond it the peel IS the
     2-exchange/iteration distributed degree-filter loop,
     ops/graph.k_core_distributed, parity-pinned in tests).  Output
     (user_id, deg)."""
+    from rhealpixdggs_py_ray.ops import graph as _graph
+
     edges = _copresence_edges(sf_dir)
-    if edges.count() > 8_000_000:  # driver peel cap (see ops/cc.py)
-        from rhealpixdggs_py_ray.ops.graph import k_core_distributed
-        return k_core_distributed(edges, KCORE_K, KCORE_ITERS)
+    if edges.count() > _graph.DRIVER_EDGE_CAP:  # driver peel cap
+        return _graph.k_core_distributed(edges, KCORE_K, KCORE_ITERS)
     parts = []
     for b in edges.iter_batches(batch_format="pyarrow"):
         if b.num_rows:
@@ -493,7 +496,7 @@ def q_random_walks(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000, "random_walks driver cap (see ops/cc.py)"
+    check_driver_cap(len(ek), "random_walks")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     # capped ascending neighbor lists (common_neighbors' CN_DEG rule)
@@ -602,7 +605,7 @@ def q_spectral_partition(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000, "spectral driver cap (see ops/cc.py)"
+    check_driver_cap(len(ek), "spectral_partition")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))
@@ -804,7 +807,7 @@ def q_degree_assortativity(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "degree_assortativity")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
@@ -1005,7 +1008,7 @@ def q_giant_component(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "giant_component")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes, lab = cc._union_find_label(ua, ub)
@@ -1062,7 +1065,7 @@ def q_graph_bfs(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "graph_bfs")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))
@@ -1132,7 +1135,7 @@ def q_eigencentrality(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "eigencentrality")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))
@@ -1207,7 +1210,7 @@ def q_adamic_adar(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "adamic_adar")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))
@@ -1290,7 +1293,7 @@ def q_graph_modularity(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "graph_modularity")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     hc = q_home_cells(sf_dir)
@@ -1483,7 +1486,7 @@ def q_rich_club(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "rich_club")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
@@ -1538,7 +1541,7 @@ def q_degree_histogram(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "degree_histogram")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     _nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
@@ -1586,7 +1589,7 @@ def q_zero_support_edges(sf_dir: str):
             parts.append(b["key"].to_numpy(zero_copy_only=False)
                          .astype(np.uint64))
     ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    assert len(ek) <= 8_000_000
+    check_driver_cap(len(ek), "zero_support_edges")
     ua = (ek >> np.uint64(32)).astype(np.int64)
     ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
     nodes = np.unique(np.concatenate([ua, ub]))

@@ -554,7 +554,7 @@ def q_k_ring(sf_dir: str):
     ids = np.arange(KRING_N_EVENTS, dtype=np.int64)
     lon, lat = oracle.lonlat_from_id(ids)
     cells = idx.cell_from_point(CFG, KRING_RES, lon, lat, plane=False)
-    row, _ = _band_row_col(cells)
+    row, _ = lattice_of_u64(cells, KRING_RES)
     face = su.face_of(cells)
     nrow = CFG.N_side**KRING_RES
     safe = (face >= 1) & (face <= 4) & (row >= KRING_K) & (row <= nrow - 1 - KRING_K)
@@ -2081,14 +2081,7 @@ def q_focal_stats(sf_dir: str):
         cu, cnt_inv = np.unique(u[eq], return_inverse=True)
         cnt = np.zeros(len(cu), dtype=np.int64)
         np.add.at(cnt, cnt_inv, 1)
-        _, digits, _ = su.unpack(cu)
-        N = CFG.N_side
-        row = np.zeros(len(cu), dtype=np.int64)
-        col = np.zeros(len(cu), dtype=np.int64)
-        for i in range(FOCAL_RES):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        gcol = (su.face_of(cu).astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(cu, FOCAL_RES)
         # self rows: band-interior only (where the 3x3 grid = true DGGS
         # neighbors); contributions: from every equatorial cell
         interior = (row >= 1) & (row <= nrow - 2)
@@ -2100,7 +2093,7 @@ def q_focal_stats(sf_dir: str):
             ok = (r2 >= 0) & (r2 <= nrow - 1)
             for dc in (-1, 0, 1):
                 c2 = (gcol[ok] + dc) % ncol
-                tgt.append(_cells_from_band_rowcol(r2[ok], c2, FOCAL_RES))
+                tgt.append(u64_of_lattice(r2[ok], c2, FOCAL_RES))
                 side.append(np.ones(int(ok.sum()), dtype=np.int64))
                 val.append(cnt[ok])
         tgt_a = np.concatenate(tgt)
@@ -2509,14 +2502,7 @@ def q_grid_distance(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(eid)
         u = idx.cell_from_point(CFG, GRIDDIST_RES, lon, lat, plane=False)
         face = su.face_of(u)
-        _, digits, _ = su.unpack(u)
-        N = CFG.N_side
-        row = np.zeros(len(u), dtype=np.int64)
-        col = np.zeros(len(u), dtype=np.int64)
-        for i in range(GRIDDIST_RES):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        gcol = (face.astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(u, GRIDDIST_RES)
         eq = (face >= 1) & (face <= 4)
         return pa.table({
             "bucket": pa.array(hash_bucket_u64(uid, n_buckets)),
@@ -2626,14 +2612,7 @@ def q_grid_path(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(eid)
         u = idx.cell_from_point(CFG, res, lon, lat, plane=False)
         face = su.face_of(u)
-        _, digits, _ = su.unpack(u)
-        N = CFG.N_side
-        row = np.zeros(len(u), dtype=np.int64)
-        col = np.zeros(len(u), dtype=np.int64)
-        for i in range(res):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        gcol = (face.astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(u, res)
         eq = (face >= 1) & (face <= 4)
         return pa.table({
             "bucket": pa.array(hash_bucket_u64(uid, n_buckets)),
@@ -2674,8 +2653,7 @@ def q_grid_path(sf_dir: str):
             "event_id": pa.array(eid2[j]),
             "user_id": pa.array(uid2[j]),
             "seq": pa.array(k.astype(np.int64)),
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(rk, ck, res), type=pa.string()),
+            "cell_id": lattice_cell_ids(rk, ck, res),
         })
 
     b = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
@@ -2957,14 +2935,8 @@ def q_morans_i(sf_dir: str):
         cu, ci = np.unique(u[eq], return_inverse=True)
         cnt = np.zeros(len(cu), dtype=np.int64)
         np.add.at(cnt, ci, 1)
-        _, digits, _ = su.unpack(cu)
-        N = CFG.N_side
-        row = np.zeros(len(cu), dtype=np.int64)
-        col = np.zeros(len(cu), dtype=np.int64)
-        for i in range(MORAN_RES):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        k = row * ncol + (su.face_of(cu).astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(cu, MORAN_RES)
+        k = row * ncol + gcol
         return pa.table({"k": pa.array(k), "n": pa.array(cnt)})
 
     agg = ds.map_batches(
@@ -3526,8 +3498,7 @@ def q_line_buffer(sf_dir: str):
         gy, gx = yx // W, yx % W
         return pa.table({
             "line_id": pa.array(lid),
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
         })
 
     return dil.map_batches(decode, batch_format="pyarrow", zero_copy_batch=True)
@@ -3539,15 +3510,7 @@ def sql_line_buffer() -> str:
     W = 4 * side
     r = LINE_BUFFER_R
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx2 // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy2 // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx2 % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy2", "gx2", k)
     return f"""
 WITH trace AS MATERIALIZED ({oracle.linetrace_sql(LINETRACE_LINES, k, CFG)}),
 rc AS MATERIALIZED (
@@ -3848,74 +3811,17 @@ def q_grid_flood(sf_dir: str):
     of its endpoint, so the halo is sufficient), and each tile runs a
     dense vectorized BFS locally and emits only its home window.  Two
     exchanges total, independent of D.  Output (cell_id, dist)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
     D, T = FLOOD_D, FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
     L = T + 2 * D
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(
+        indexed_events(sf_dir, resolution=k), "n_seed",
+        value=lambda b: (b["event_id"].to_numpy(zero_copy_only=False)
+                         % FLOOD_SEED_MOD == 0).astype(np.int64))
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        ids = batch["event_id"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        u, ids = u[m], ids[m]
-        return pa.table({
-            "cell_u64": pa.array(u, type=pa.uint64()),
-            "seed": pa.array((ids % FLOOD_SEED_MOD == 0).astype(np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "seed", "n_seed",
-    )
-
-    def halo(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        nseed = batch["n_seed"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, seeds = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                seeds.append(nseed[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "n_seed": pa.array(np.concatenate(seeds)),
-        })
-
-    def bfs(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return pa.table({"cell_id": pa.array([], type=pa.string()),
-                             "dist": pa.array([], type=pa.int64())})
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
-        ns = g["n_seed"].to_numpy(zero_copy_only=False)
+    def bfs(ty, tx, ly, lx, vals) -> pa.Table:
+        ns = vals["n_seed"]
         occg = np.zeros((L, L), dtype=bool)
         occg[ly, lx] = True
         dist = np.full((L, L), -1, dtype=np.int64)
@@ -3930,25 +3836,11 @@ def q_grid_flood(sf_dir: str):
             nxt &= occg & (dist < 0)
             dist[nxt] = dd
             frontier = nxt
-        hy, hx = np.nonzero((dist >= 0)
-                            & (np.arange(L)[:, None] >= D)
-                            & (np.arange(L)[:, None] < T + D)
-                            & (np.arange(L)[None, :] >= D)
-                            & (np.arange(L)[None, :] < T + D))
-        gy_out = ty * T + hy - D
-        gx_out = (tx * T + hx - D) % W
-        return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_out, gx_out, k),
-                type=pa.string()),
-            "dist": pa.array(dist[hy, hx]),
-        })
+        hy, hx, cell_id = home_cells(dist >= 0, ty, tx, D)
+        return pa.table({"cell_id": cell_id, "dist": pa.array(dist[hy, hx])})
 
-    return (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile")
-        .map_groups(bfs, batch_format="pyarrow")
-    )
+    return halo_stencil(occ, D, ["n_seed"], bfs, pa.schema(
+        [("cell_id", pa.string()), ("dist", pa.int64())]))
 
 
 def sql_grid_flood() -> str:
@@ -3961,15 +3853,7 @@ def sql_grid_flood() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     return f"""
 WITH RECURSIVE fidx AS MATERIALIZED (
   SELECT event_id, cell_id FROM {idx_sql} t
@@ -4291,11 +4175,8 @@ def q_dbscan_cells(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(ids)
         m = np.abs(lat) <= DISSOLVE_LAT
         u = cidx.cell_from_point(CFG, k, lon[m], lat[m], plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        key = ((d // 3) @ pw) * W + (
-            (face.astype(np.int64) - 1) * side + (d % 3) @ pw)
+        gy, gx = lattice_of_u64(u, k)
+        key = gy * W + gx
         return pa.table({"key": pa.array(key.astype(np.uint64)),
                          "one": pa.array(np.ones(len(key), dtype=np.int64))})
 
@@ -4503,8 +4384,7 @@ def q_dbscan_cells(sf_dir: str):
         kd = np.concatenate(out_kind)
         gy_, gx_ = ko // W, ko % W
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_, gx_, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy_, gx_, k),
             "cluster": pa.array(cl),
             "kind": pa.array(kd),
         })
@@ -4540,16 +4420,7 @@ def sql_dbscan_cells() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE (key % {W}) // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST((((key // {W}) // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + ((((key % {W}) % {side}) // {3 ** (k - 1 - i)}) % 3)"
-            " AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql(f"(key // {W})", f"(key % {W})", k)
     offs = ", ".join(f"({dy}, {dx})" for dy in (-1, 0, 1) for dx in (-1, 0, 1))
     return f"""
 WITH RECURSIVE docc AS MATERIALIZED (
@@ -4635,11 +4506,8 @@ def q_colocation_pairs(sf_dir: str):
         t = batch["ts"].to_numpy(zero_copy_only=False).astype(
             "datetime64[us]").astype(np.int64)[m]
         u = cidx.cell_from_point(CFG, k, lon[m], lat[m], plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        ck = ((d // 3) @ pw) * W + (
-            (face.astype(np.int64) - 1) * side + (d % 3) @ pw)
+        gy, gx = lattice_of_u64(u, k)
+        ck = gy * W + gx
         tb = t // T_us
         stk0 = ck * (1 << 32) + tb
         stk1 = ck * (1 << 32) + tb + 1
@@ -4737,11 +4605,8 @@ def q_join_counts(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(ids)
         m = np.abs(lat) <= DISSOLVE_LAT
         u = cidx.cell_from_point(CFG, k, lon[m], lat[m], plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        key = ((d // 3) @ pw) * W + (
-            (face.astype(np.int64) - 1) * side + (d % 3) @ pw)
+        gy, gx = lattice_of_u64(u, k)
+        key = gy * W + gx
         return pa.table({"key": pa.array(key.astype(np.uint64)),
                          "one": pa.array(np.ones(len(key), dtype=np.int64))})
 
@@ -4858,11 +4723,8 @@ def q_coverage_gaps(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(ids)
         m = np.abs(lat) <= DISSOLVE_LAT
         u = cidx.cell_from_point(CFG, k, lon[m], lat[m], plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        key = ((d // 3) @ pw) * W + (
-            (face.astype(np.int64) - 1) * side + (d % 3) @ pw)
+        gy, gx = lattice_of_u64(u, k)
+        key = gy * W + gx
         uq = np.unique(key)
         return pa.table({"key": pa.array(uq.astype(np.uint64)),
                          "one": pa.array(np.ones(len(uq), dtype=np.int64))})
@@ -4901,10 +4763,10 @@ def q_coverage_gaps(sf_dir: str):
     tk = (np.concatenate(keys_l) if keys_l
           else np.array([], dtype=np.int64))
     nn = np.concatenate(n_l) if n_l else np.array([], dtype=np.int64)
-    cell_id = _cell_string_array_from_lattice(tk // W, tk % W, k)
-    order = np.argsort(cell_id)
+    u = u64_of_lattice(tk // W, tk % W, k)
+    order = np.argsort(u)  # u64 order == cell_id order at one resolution
     return pa.table({
-        "cell_id": pa.array(cell_id[order].tolist(), type=pa.string()),
+        "cell_id": su.to_string_fixed(u[order], k),
         "n_occupied_nbrs": pa.array(nn[order]),
     })
 
@@ -4919,14 +4781,7 @@ def sql_coverage_gaps() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    # rebuild cell_id string from (gy, gx) — digit i packs
-    # 3*((gy // 3^(k-1-i)) % 3) + ((gx % side) // 3^(k-1-i)) % 3
-    digits = " || ".join(
-        f"CAST(3 * ((ty // {3 ** (k - 1 - i)}) % 3)"
-        f" + (((tx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-        for i in range(k))
-    rebuild = (f"CASE tx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-               f" WHEN 2 THEN 'Q' ELSE 'R' END || {digits}")
+    rebuild = _lattice_cell_sql("ty", "tx", k, three_first=True)
     return f"""
 WITH cgc AS MATERIALIZED (
   SELECT DISTINCT cell_id FROM {idx_sql} t

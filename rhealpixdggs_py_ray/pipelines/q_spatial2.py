@@ -154,75 +154,19 @@ def q_cost_distance(sf_dir: str):
     dense hop-capped Bellman-Ford (Jacobi relaxation, H vectorized
     min-plus sweeps) locally; two exchanges total regardless of H.
     Output (cell_id, cost)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
+    W = 4 * 3 ** k
     D, T = COSTD_H, FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
     L = T + 2 * D
     INF = np.int64(1 << 40)
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(
+        indexed_events(sf_dir, resolution=k), "n_seed",
+        value=lambda b: (b["event_id"].to_numpy(zero_copy_only=False)
+                         % FLOOD_SEED_MOD == 0).astype(np.int64))
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        ids = batch["event_id"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        u, ids = u[m], ids[m]
-        return pa.table({
-            "cell_u64": pa.array(u, type=pa.uint64()),
-            "seed": pa.array((ids % FLOOD_SEED_MOD == 0).astype(np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "seed", "n_seed",
-    )
-
-    def halo(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        nseed = batch["n_seed"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, seeds = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                seeds.append(nseed[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "n_seed": pa.array(np.concatenate(seeds)),
-        })
-
-    def bellman(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return pa.table({"cell_id": pa.array([], type=pa.string()),
-                             "cost": pa.array([], type=pa.int64())})
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
-        ns = g["n_seed"].to_numpy(zero_copy_only=False)
+    def bellman(ty, tx, ly, lx, vals) -> pa.Table:
+        ns = vals["n_seed"]
         # global coords of every local slot (gx wraps at the seam)
         gys = ty * T + np.arange(L) - D
         gxs = (tx * T + np.arange(L) - D) % W
@@ -239,25 +183,11 @@ def q_cost_distance(sf_dir: str):
             cand[:, :-1] = np.minimum(cand[:, :-1], dist[:, 1:])
             cand = np.where(cand >= INF, INF, cand + wgrid)
             dist = np.where(occg, np.minimum(dist, cand), INF)
-        hy, hx = np.nonzero((dist < INF)
-                            & (np.arange(L)[:, None] >= D)
-                            & (np.arange(L)[:, None] < T + D)
-                            & (np.arange(L)[None, :] >= D)
-                            & (np.arange(L)[None, :] < T + D))
-        gy_out = ty * T + hy - D
-        gx_out = (tx * T + hx - D) % W
-        return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_out, gx_out, k),
-                type=pa.string()),
-            "cost": pa.array(dist[hy, hx]),
-        })
+        hy, hx, cell_id = home_cells(dist < INF, ty, tx, D)
+        return pa.table({"cell_id": cell_id, "cost": pa.array(dist[hy, hx])})
 
-    return (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile")
-        .map_groups(bellman, batch_format="pyarrow")
-    )
+    return halo_stencil(occ, D, ["n_seed"], bellman, pa.schema(
+        [("cell_id", pa.string()), ("cost", pa.int64())]))
 
 
 def sql_cost_distance() -> str:
@@ -270,15 +200,7 @@ def sql_cost_distance() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     return f"""
 WITH RECURSIVE cidx AS MATERIALIZED (
   SELECT event_id, cell_id FROM {idx_sql} t
@@ -337,11 +259,7 @@ def q_zorder_layout(sf_dir: str):
         u = batch["cell_u64"].to_numpy(zero_copy_only=False)
         m = np.abs(lat) <= DISSOLVE_LAT
         u = u[m].astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(u, k)
         cell = gy * (4 * side) + gx
         uq, inv = np.unique(cell, return_inverse=True)
         n = np.zeros(len(uq), dtype=np.int64)
@@ -436,36 +354,14 @@ def q_local_ij(sf_dir: str):
     and back — the roundtrip rebuild is the output cell_id, so the
     compare itself proves ij -> cell inverts exactly.  Map + one
     distinct-cell exchange.  Output (cell_id, gi, gj)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    dist = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    dist = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def ij(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "gi": pa.array(gy),
             "gj": pa.array(gx),
         })
@@ -502,30 +398,12 @@ def q_hotspot_gi(sf_dir: str):
     the counts table, which is BOUNDED by the lattice itself
     (4*3^4 * 3^4 = 26,244 cells max at any data scale).  Output
     (cell_id, gi, ki, z_micros)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
-    D, T = 1, FLOOD_T
-    n_tx, n_ty = W // T, side // T
-    L = T + 2 * D
+    D = 1
+    L = FLOOD_T + 2 * D
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    counts = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "x",
-    ).materialize()  # two consumers: global stats + stencil
+    counts = band_counts(  # two consumers: global stats + stencil
+        indexed_events(sf_dir, resolution=k), "x").materialize()
 
     # global stats: lattice-bounded (<= 26,244 rows)
     n_tot, sx, sxx = 0, 0, 0
@@ -536,50 +414,11 @@ def q_hotspot_gi(sf_dir: str):
             sx += int(xv.sum())
             sxx += int((xv * xv).sum())
 
-    def halo(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = batch["x"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty, home_tx = gy // T, gx // T
-        tiles, lys, lxs, xs = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                xs.append(x[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "x": pa.array(np.concatenate(xs)),
-        })
-
-    def stencil(g: pa.Table) -> pa.Table:
-        cols = {"cell_id": pa.string(), "gi": pa.int64(), "ki": pa.int64(),
-                "z_micros": pa.int64()}
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return pa.table({c: pa.array([], type=t) for c, t in cols.items()})
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
-        xv = g["x"].to_numpy(zero_copy_only=False)
+    def stencil(ty, tx, ly, lx, vals) -> pa.Table:
         occ = np.zeros((L, L), dtype=bool)
         X = np.zeros((L, L), dtype=np.int64)
         occ[ly, lx] = True
-        X[ly, lx] = xv
+        X[ly, lx] = vals["x"]
         giq = np.zeros((L, L), dtype=np.int64)
         kiq = np.zeros((L, L), dtype=np.int64)
         for dy in (-1, 0, 1):
@@ -590,30 +429,20 @@ def q_hotspot_gi(sf_dir: str):
         # np.roll wraps tile-locally which is WRONG at tile borders —
         # but home cells sit >= D from the local edge, so their 3x3
         # window never touches a rolled-in value
-        hy, hx = np.nonzero(occ
-                            & (np.arange(L)[:, None] >= D)
-                            & (np.arange(L)[:, None] < T + D)
-                            & (np.arange(L)[None, :] >= D)
-                            & (np.arange(L)[None, :] < T + D))
-        gy_out = ty * T + hy - D
-        gx_out = (tx * T + hx - D) % W
+        hy, hx, cell_id = home_cells(occ, ty, tx, D)
         gi = giq[hy, hx]
         ki = kiq[hy, hx]
         z = _gi_z(gi, ki, n_tot, float(sx), float(sxx))
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_out, gx_out, k),
-                type=pa.string()),
+            "cell_id": cell_id,
             "gi": pa.array(gi),
             "ki": pa.array(ki),
             "z_micros": pa.array(np.floor(z * 1e6).astype(np.int64)),
         })
 
-    return (
-        counts.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile")
-        .map_groups(stencil, batch_format="pyarrow")
-    )
+    return halo_stencil(counts, D, ["x"], stencil, pa.schema(
+        [("cell_id", pa.string()), ("gi", pa.int64()), ("ki", pa.int64()),
+         ("z_micros", pa.int64())]))
 
 
 def sql_hotspot_gi() -> str:
@@ -626,15 +455,7 @@ def sql_hotspot_gi() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     return f"""
 WITH hidx AS MATERIALIZED (
   SELECT event_id, cell_id FROM {idx_sql} t
@@ -774,26 +595,10 @@ def q_cell_edges(sf_dir: str):
     crossings belong to the topology kernel, not the integer lattice).
     Map + one distinct-cell exchange.  Output (cell_id, dir, edge_id,
     nbr_cell_id)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    dist = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    dist = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     # dir 0=E, 1=W, 2=N (gy-1), 3=S (gy+1)
     DX = np.array([1, -1, 0, 0], dtype=np.int64)
@@ -801,11 +606,7 @@ def q_cell_edges(sf_dir: str):
 
     def edges(batch: pa.Table) -> pa.Table:
         u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(u, k)
         n = len(u)
         gy4 = np.repeat(gy, 4)
         gx4 = np.repeat(gx, 4)
@@ -815,14 +616,10 @@ def q_cell_edges(sf_dir: str):
         ok = (ny >= 0) & (ny < side)
         gy4, gx4, dir4, ny, nx = gy4[ok], gx4[ok], dir4[ok], ny[ok], nx[ok]
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy4, gx4, k),
-                type=pa.string()),
+            "cell_id": lattice_cell_ids(gy4, gx4, k),
             "dir": pa.array(dir4),
             "edge_id": pa.array((gy4 * W + gx4) * 4 + dir4),
-            "nbr_cell_id": pa.array(
-                _cell_string_array_from_lattice(ny, nx, k),
-                type=pa.string()),
+            "nbr_cell_id": lattice_cell_ids(ny, nx, k),
         })
 
     return dist.map_batches(edges, batch_format="pyarrow",
@@ -841,15 +638,7 @@ def sql_cell_edges() -> str:
     gy, gx = _dissolve_rowcol_sql(k)
 
     def rebuild(gy_e: str, gx_e: str) -> str:
-        return (
-            f"CASE ({gx_e}) // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-            " WHEN 2 THEN 'Q' ELSE 'R' END || "
-            + " || ".join(
-                f"CAST(((({gy_e}) // {3 ** (k - 1 - i)}) % 3) * 3"
-                f" + (((({gx_e}) % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-                for i in range(k)
-            )
-        )
+        return _lattice_cell_sql(f"({gy_e})", f"({gx_e})", k)
 
     return f"""
 WITH ceidx AS MATERIALIZED (
@@ -1077,37 +866,17 @@ def q_viewshed(sf_dir: str):
     u64-keyed exchange; the DDA loop is vectorized across all targets
     (k = 1..R-1 sweeps, each a masked numpy step).  Output (cell_id,
     dist, elev, visible)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
     oy, ox = VIEW_OBS
     h0 = _view_elev(oy, ox) + VIEW_OBS_H
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def los(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         dr = gy - oy
         dcn = ((gx - ox) % W + W) % W
         dc = np.where(dcn >= W // 2, dcn - W, dcn)
@@ -1125,8 +894,7 @@ def q_viewshed(sf_dir: str):
             ek = _view_elev(rk, ck)
             blocked |= live & (ek * n > h0 * (n - kk) + ht * kk)
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "dist": pa.array(n),
             "elev": pa.array(ht),
             "visible": pa.array((~blocked).astype(np.int64)),
@@ -1147,15 +915,7 @@ def sql_viewshed() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     return f"""
 WITH vsi AS MATERIALIZED (
   SELECT event_id, cell_id FROM {idx_sql} t
@@ -2105,76 +1865,15 @@ def q_kde_raster(sf_dir: str):
     tile runs a dense 25-shift integer convolution locally and emits
     only its home window.  Two exchanges total.  Output (cell_id,
     density) for density > 0 cells."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
     D = KDE_R - 1
-    T = FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
-    L = T + 2 * D
+    L = FLOOD_T + 2 * D
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "cnt")
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        u = u[m]
-        return pa.table({
-            "cell_u64": pa.array(u, type=pa.uint64()),
-            "one": pa.array(np.ones(len(u), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "cnt",
-    )
-
-    def halo(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        cnt = batch["cnt"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, cs = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                cs.append(cnt[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "cnt": pa.array(np.concatenate(cs)),
-        })
-
-    def conv(g: pa.Table) -> pa.Table:
-        empty = pa.table({"cell_id": pa.array([], type=pa.string()),
-                          "density": pa.array([], type=pa.int64())})
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return empty
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
+    def conv(ty, tx, ly, lx, vals) -> pa.Table:
         cg = np.zeros((L, L), dtype=np.int64)
-        np.add.at(cg, (g["ly"].to_numpy(zero_copy_only=False),
-                       g["lx"].to_numpy(zero_copy_only=False)),
-                  g["cnt"].to_numpy(zero_copy_only=False))
+        np.add.at(cg, (ly, lx), vals["cnt"])
         dens = np.zeros((L, L), dtype=np.int64)
         for dy in range(-D, D + 1):
             for dx in range(-D, D + 1):
@@ -2183,23 +1882,12 @@ def q_kde_raster(sf_dir: str):
                 sx0, sx1 = max(0, -dx), L - max(0, dx)
                 dens[sy0 + dy:sy1 + dy, sx0 + dx:sx1 + dx] += \
                     w * cg[sy0:sy1, sx0:sx1]
-        win = dens[D:D + T, D:D + T]
-        yy, xx = np.nonzero(win)
-        if not len(yy):
-            return empty
-        gy = ty * T + yy
-        gx = (tx * T + xx) % W
-        return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k),
-                type=pa.string()),
-            "density": pa.array(win[yy, xx]),
-        })
+        hy, hx, cell_id = home_cells(dens != 0, ty, tx, D)
+        return pa.table({"cell_id": cell_id,
+                         "density": pa.array(dens[hy, hx])})
 
-    return (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile").map_groups(conv, batch_format="pyarrow")
-    )
+    return halo_stencil(occ, D, ["cnt"], conv, pa.schema(
+        [("cell_id", pa.string()), ("density", pa.int64())]))
 
 
 def sql_kde_raster() -> str:
@@ -2213,15 +1901,7 @@ def sql_kde_raster() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     offs = ", ".join(
         f"({dy}, {dx}, {KDE_R - max(abs(dy), abs(dx))})"
         for dy in range(-D, D + 1) for dx in range(-D, D + 1)
@@ -2413,11 +2093,7 @@ def q_hilbert_layout(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(ids)
         m = np.abs(lat) <= DISSOLVE_LAT
         u = cidx.cell_from_point(CFG, k, lon[m], lat[m], plane=False)
-        face, digits, _res = su.unpack(u)
-        dg = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (dg // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (dg % 3) @ pw
+        gy, gx = lattice_of_u64(u, k)
         d = hilbert_d(gx, gy)
         return pa.table({
             "key": pa.array(d.astype(np.uint64), type=pa.uint64()),
@@ -2520,37 +2196,17 @@ def q_hillshade(sf_dir: str):
     hs_e6 value-hashes bit-for-bit.  Edge rows gy=0 / side-1 are
     excluded (standard raster edge rule).  Output (cell_id, p8, q8,
     hs_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
     c1, c2, c3 = _hs_consts()
     num0 = c3 * 8.0
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def shade(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         m = (gy >= 1) & (gy <= side - 2)
         gy, gx = gy[m], gx[m]
 
@@ -2566,8 +2222,7 @@ def q_hillshade(sf_dir: str):
         den = np.sqrt((64 + p8 * p8 + q8 * q8).astype(np.float64))
         hs = num / den
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "p8": pa.array(p8),
             "q8": pa.array(q8),
             "hs_e6": pa.array(np.floor(hs * 1e6).astype(np.int64)),
@@ -2587,15 +2242,7 @@ def sql_hillshade() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
 
     def e(yy: str, xx: str) -> str:
         # numpy % floors; SQL % truncates — double-mod keeps x
@@ -2653,29 +2300,11 @@ def q_flow_acc(sf_dir: str):
     offs = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
             (0, 1), (1, -1), (1, 0), (1, 1)]
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def walk(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         n = len(gy)
         if n == 0:
             return pa.table({"key": pa.array([], type=pa.uint64()),
@@ -2725,8 +2354,7 @@ def q_flow_acc(sf_dir: str):
         gy = key // W
         gx = key % W
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "acc": pa.array(acc),
         })
 
@@ -2746,15 +2374,7 @@ def sql_flow_acc() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
 
     # one step: lateral aliases compute wrapped x's, the 8 neighbor
     # elevations in fixed order, and the least(); the outer CASE chain
@@ -2823,78 +2443,19 @@ def q_semivariogram(sf_dir: str):
     half-order offset rule (dy>0 or dy==0,dx>0), so no global pair
     shuffle and no dedup pass.  Integer z keeps every sum exact.
     Output (h, n_pairs, ssq, gamma_micro) for h = 1..SEMI_D."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
-    D = SEMI_D
-    T = FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
+    D, T = SEMI_D, FLOOD_T
     L = T + 2 * D
     offs = [(dy, dx) for dy in range(0, D + 1)
             for dx in range(-D, D + 1)
             if (dy > 0 or dx > 0) and max(dy, abs(dx)) <= D]
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "z")
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "z",
-    )
-
-    def halo(batch: pa.Table) -> pa.Table:
-        key = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        z = batch["z"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(key)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, zs = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                zs.append(z[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "z": pa.array(np.concatenate(zs)),
-        })
-
-    def pairs(g: pa.Table) -> pa.Table:
-        empty = pa.table({"h": pa.array([], type=pa.int64()),
-                          "n": pa.array([], type=pa.int64()),
-                          "ssq": pa.array([], type=pa.int64())})
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return empty
+    def pairs(ty, tx, ly, lx, vals) -> pa.Table:
         Z = np.zeros((L, L), dtype=np.int64)
         O = np.zeros((L, L), dtype=bool)
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
-        Z[ly, lx] = g["z"].to_numpy(zero_copy_only=False)
+        Z[ly, lx] = vals["z"]
         O[ly, lx] = True
         nh = np.zeros(D + 1, dtype=np.int64)
         sh = np.zeros(D + 1, dtype=np.int64)
@@ -2913,10 +2474,9 @@ def q_semivariogram(sf_dir: str):
                          "n": pa.array(nh[hh]),
                          "ssq": pa.array(sh[hh])})
 
-    part = (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile").map_groups(pairs, batch_format="pyarrow")
-    )
+    part = halo_stencil(occ, D, ["z"], pairs, pa.schema(
+        [("h", pa.int64()), ("n", pa.int64()), ("ssq", pa.int64())]))
+
     # bounded driver combine: <= n_tiles * D partial rows
     nh = np.zeros(D + 1, dtype=np.int64)
     sh = np.zeros(D + 1, dtype=np.int64)
@@ -2992,77 +2552,22 @@ def q_ripley_k(sf_dir: str):
     each unordered cell pair once); Khat = 2 * cum_pairs * |A| /
     (n * (n-1)) stays an exact integer ratio quantized to micros.
     Output (h, pairs_h, cum_pairs, k_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
-    D = SEMI_D
-    T = FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
+    D, T = SEMI_D, FLOOD_T
     L = T + 2 * D
     A = side * W
     offs = [(dy, dx) for dy in range(0, D + 1)
             for dx in range(-D, D + 1)
             if (dy > 0 or dx > 0) and max(dy, abs(dx)) <= D]
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(  # consumed twice (h=0 term + halo route)
+        indexed_events(sf_dir, resolution=k), "z").materialize()
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "z",
-    ).materialize()  # consumed twice (h=0 term + halo route)
-
-    def halo(batch: pa.Table) -> pa.Table:
-        key = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        z = batch["z"].to_numpy(zero_copy_only=False)
-        face, digits, _res = su.unpack(key)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, zs = [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                zs.append(z[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "z": pa.array(np.concatenate(zs)),
-        })
-
-    def pairs(g: pa.Table) -> pa.Table:
-        empty = pa.table({"h": pa.array([], type=pa.int64()),
-                          "p": pa.array([], type=pa.int64())})
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return empty
+    def pairs(ty, tx, ly, lx, vals) -> pa.Table:
         Z = np.zeros((L, L), dtype=np.int64)
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
-        Z[ly, lx] = g["z"].to_numpy(zero_copy_only=False)
+        Z[ly, lx] = vals["z"]
         ph = np.zeros(D + 1, dtype=np.int64)
         za = Z[D:D + T, D:D + T]
         for dy, dx in offs:
@@ -3073,10 +2578,9 @@ def q_ripley_k(sf_dir: str):
         return pa.table({"h": pa.array(hh.astype(np.int64)),
                          "p": pa.array(ph[hh])})
 
-    part = (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile").map_groups(pairs, batch_format="pyarrow")
-    )
+    part = halo_stencil(occ, D, ["z"], pairs, pa.schema(
+        [("h", pa.int64()), ("p", pa.int64())]))
+
     ph = np.zeros(D + 1, dtype=np.int64)
     npts = 0
     for bt in occ.iter_batches(batch_format="pyarrow"):
@@ -3185,29 +2689,11 @@ def q_watershed(sf_dir: str):
     offs = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
             (0, 1), (1, -1), (1, 0), (1, 1)]
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def walk(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         n = len(gy)
         if n == 0:
             return pa.table({"key": pa.array([], type=pa.uint64()),
@@ -3261,8 +2747,7 @@ def q_watershed(sf_dir: str):
             ok = (ny >= 0) & (ny <= side - 1)
             best = np.minimum(best, np.where(ok, elev(ny, nx), 1_000_000))
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "n_src": pa.array(ns),
             "is_pit": pa.array((best >= e0).astype(np.int64)),
         })
@@ -3283,15 +2768,7 @@ def sql_watershed() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     # per-step neighbor elevations in the same fixed order as numpy,
     # lateral aliases only (mirrors sql_flow_acc's step builder with a
     # ws CTE prefix so the two oracles can coexist in one session)
@@ -3365,35 +2842,15 @@ def q_tpi_tri(sf_dir: str):
     q_hillshade shape).  Edge rows gy=0 / side-1 excluded.  Reference
     grid semantics: dggs.py:613 (grid), cell.py:1224 (neighbors).
     Output (cell_id, tpi8, tri, lap4)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
     def window(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         m = (gy >= 1) & (gy <= side - 2)
         gy, gx = gy[m], gx[m]
 
@@ -3413,8 +2870,7 @@ def q_tpi_tri(sf_dir: str):
         lap4 = (e(gy - 1, gx) + e(gy + 1, gx)
                 + e(gy, gx - 1) + e(gy, gx + 1) - 4 * e0)
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k), type=pa.string()),
+            "cell_id": lattice_cell_ids(gy, gx, k),
             "tpi8": pa.array(8 * e0 - nsum),
             "tri": pa.array(tri),
             "lap4": pa.array(lap4),
@@ -3434,15 +2890,7 @@ def sql_tpi_tri() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
 
     def e(yy: str, xx: str) -> str:
         # numpy % floors; SQL % truncates — double-mod keeps x
@@ -3493,70 +2941,17 @@ def q_strahler_order(sf_dir: str):
     everywhere, so a D-halo is exactly sufficient).  Reference grid
     semantics: dggs.py:613 (grid), cell.py:1224 (neighbors).
     Output (cell_id, strahler)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
     D, T = STRAHLER_D, FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
     L = T + 2 * D
     offs = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
             (0, 1), (1, -1), (1, 0), (1, 1)]
 
-    ds = indexed_events(sf_dir, resolution=k)
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
 
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
-
-    def halo(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs = [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-        return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-        })
-
-    def order_tile(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return pa.table({"cell_id": pa.array([], type=pa.string()),
-                             "strahler": pa.array([], type=pa.int64())})
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
-        ly = g["ly"].to_numpy(zero_copy_only=False)
-        lx = g["lx"].to_numpy(zero_copy_only=False)
+    def order_tile(ty, tx, ly, lx, vals) -> pa.Table:
         occg = np.zeros((L, L), dtype=bool)
         occg[ly, lx] = True
         # global coords per window cell (x wraps; y can run out of band
@@ -3601,25 +2996,12 @@ def q_strahler_order(sf_dir: str):
                             np.where(mx == 0, 1,
                                      np.where(cnt >= 2, mx + 1, mx)),
                             0)
-        hy, hx = np.nonzero(occg
-                            & (np.arange(L)[:, None] >= D)
-                            & (np.arange(L)[:, None] < T + D)
-                            & (np.arange(L)[None, :] >= D)
-                            & (np.arange(L)[None, :] < T + D))
-        gy_out = ty * T + hy - D
-        gx_out = (tx * T + hx - D) % W
-        return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_out, gx_out, k),
-                type=pa.string()),
-            "strahler": pa.array(ordg[hy, hx]),
-        })
+        hy, hx, cell_id = home_cells(occg, ty, tx, D)
+        return pa.table({"cell_id": cell_id,
+                         "strahler": pa.array(ordg[hy, hx])})
 
-    return (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile")
-        .map_groups(order_tile, batch_format="pyarrow")
-    )
+    return halo_stencil(occ, D, [], order_tile, pa.schema(
+        [("cell_id", pa.string()), ("strahler", pa.int64())]))
 
 
 def sql_strahler_order() -> str:
@@ -3635,15 +3017,7 @@ def sql_strahler_order() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     # one D8 step: target (ny, nx) per occupied cell, NULL when pit
     inner_aliases = [
         f"(((gx - 1) % {W}) + {W}) % {W} AS xl",
@@ -3925,14 +3299,8 @@ def q_gearys_c(sf_dir: str):
         cu, ci = np.unique(u[eq], return_inverse=True)
         cnt = np.zeros(len(cu), dtype=np.int64)
         np.add.at(cnt, ci, 1)
-        _, digits, _ = su.unpack(cu)
-        N = CFG.N_side
-        row = np.zeros(len(cu), dtype=np.int64)
-        col = np.zeros(len(cu), dtype=np.int64)
-        for i in range(MORAN_RES):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        k = row * ncol + (su.face_of(cu).astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(cu, MORAN_RES)
+        k = row * ncol + gcol
         return pa.table({"k": pa.array(k), "n": pa.array(cnt)})
 
     agg = ds.map_batches(
@@ -4162,14 +3530,8 @@ def q_bilinear_resample(sf_dir: str):
         cu, ci = np.unique(u[eq], return_inverse=True)
         cnt = np.zeros(len(cu), dtype=np.int64)
         np.add.at(cnt, ci, 1)
-        _, digits, _ = su.unpack(cu)
-        N = CFG.N_side
-        row = np.zeros(len(cu), dtype=np.int64)
-        col = np.zeros(len(cu), dtype=np.int64)
-        for i in range(MORAN_RES):
-            row = row * N + digits[:, i] // N
-            col = col * N + digits[:, i] % N
-        k = row * ncol + (su.face_of(cu).astype(np.int64) - 1) * nrow + col
+        row, gcol = lattice_of_u64(cu, MORAN_RES)
+        k = row * ncol + gcol
         return pa.table({"k": pa.array(k), "n": pa.array(cnt)})
 
     agg = ds.map_batches(
@@ -4542,27 +3904,11 @@ def q_contour_crossings(sf_dir: str):
     elevations straddle T — the discrete isoline length.  Exact
     integer comparisons; one distinct-cells fold then a pure map
     (the hillshade shape).  Output (level, n_crossings)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
     k = DISSOLVE_RES
     side = 3 ** k
     W = 4 * side
 
-    ds = indexed_events(sf_dir, resolution=k)
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        m = np.abs(lat) <= DISSOLVE_LAT
-        return pa.table({
-            "cell_u64": pa.array(u[m], type=pa.uint64()),
-            "one": pa.array(np.ones(int(m.sum()), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    )
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n")
     cellsets = []
     for b in occ.iter_batches(batch_format="pyarrow"):
         if b.num_rows:
@@ -4570,11 +3916,7 @@ def q_contour_crossings(sf_dir: str):
                             .astype(np.uint64))
     u = (np.concatenate(cellsets) if cellsets
          else np.array([], dtype=np.uint64))
-    face, digits, _res = su.unpack(u)
-    d = digits[:, :k].astype(np.int64)
-    pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-    gy = (d // 3) @ pw
-    gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+    gy, gx = lattice_of_u64(u, k)
     occset = set((int(a) * W + int(b)) for a, b in zip(gy, gx % W))
 
     def e(yy, xx):

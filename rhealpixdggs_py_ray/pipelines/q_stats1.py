@@ -2993,11 +2993,7 @@ def q_pair_counts(sf_dir: str):
         ids, lon, lat = ids[m], lon[m], lat[m]
         x, y, z = proj.xyz(CFG, lon, lat)
         u = cidx.cell_from_point(CFG, k, lon, lat, plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(u, k)
         t_l, e_l, x_l, y_l, z_l, h_l = [], [], [], [], [], []
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
@@ -3051,9 +3047,7 @@ def q_pair_counts(sf_dir: str):
         uq, n = np.unique(tc, return_counts=True)
         gy_out, gx_out = uq // W, uq % W
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy_out, gx_out, k),
-                type=pa.string()),
+            "cell_id": lattice_cell_ids(gy_out, gx_out, k),
             "n_pairs": pa.array(n.astype(np.int64)),
         })
 
@@ -4633,11 +4627,7 @@ def q_distance_decay(sf_dir: str):
         lon, lat = oracle.lonlat_from_id(eid)
         inband = np.abs(lat) <= DISSOLVE_LAT
         u = cidx.cell_from_point(CFG, k, lon, lat, plane=False)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(u, k)
         # polar faces produce face ids outside O..R; inband mask hides
         # them before any lattice use
         return pa.table({

@@ -743,13 +743,8 @@ def q_gw_mean(sf_dir: str):
     from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
 
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
     D = KDE_R - 1
-    T = FLOOD_T
-    n_tx = W // T
-    n_ty = side // T
-    L = T + 2 * D
+    L = FLOOD_T + 2 * D
 
     from rhealpixdggs_py_ray.core import index as cidx
 
@@ -777,56 +772,17 @@ def q_gw_mean(sf_dir: str):
         "key", "one", "s",
     )
 
-    def halo(batch: pa.Table) -> pa.Table:
+    def split(batch: pa.Table) -> pa.Table:
         key = batch["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        s = batch["s"].to_numpy(zero_copy_only=False)
-        u = key >> np.uint64(1)
-        is_sv = (key & np.uint64(1)).astype(np.int64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
-        home_ty = gy // T
-        home_tx = gx // T
-        tiles, lys, lxs, ss, kinds = [], [], [], [], []
-        for dty in (-1, 0, 1):
-            for dtx in (-1, 0, 1):
-                ty = home_ty + dty
-                tx = (home_tx + dtx) % n_tx
-                ok = (ty >= 0) & (ty < n_ty)
-                off = ((gx - tx * T + W // 2) % W) - W // 2
-                ly = gy - ty * T + D
-                lx = off + D
-                ok &= (ly >= 0) & (ly < L) & (lx >= 0) & (lx < L)
-                tiles.append((ty * n_tx + tx)[ok])
-                lys.append(ly[ok])
-                lxs.append(lx[ok])
-                ss.append(s[ok])
-                kinds.append(is_sv[ok])
         return pa.table({
-            "tile": pa.array(np.concatenate(tiles)),
-            "ly": pa.array(np.concatenate(lys)),
-            "lx": pa.array(np.concatenate(lxs)),
-            "s": pa.array(np.concatenate(ss)),
-            "kind": pa.array(np.concatenate(kinds)),
+            "cell_u64": pa.array(key >> np.uint64(1)),
+            "s": batch["s"],
+            "kind": pa.array((key & np.uint64(1)).astype(np.int64)),
         })
 
-    def conv(g: pa.Table) -> pa.Table:
-        empty = pa.table({"cell_id": pa.array([], type=pa.string()),
-                          "wsum": pa.array([], type=pa.int64()),
-                          "wcnt": pa.array([], type=pa.int64()),
-                          "wmean_micro": pa.array([], type=pa.int64())})
-        if g.num_rows == 0 or "tile" not in g.column_names:
-            return empty
-        tile = int(g["tile"][0].as_py())
-        ty, tx = tile // n_tx, tile % n_tx
-        kind = g["kind"].to_numpy(zero_copy_only=False)
+    def conv(ty, tx, ly, lx, vals) -> pa.Table:
         cg = np.zeros((2, L, L), dtype=np.int64)
-        np.add.at(cg, (kind,
-                       g["ly"].to_numpy(zero_copy_only=False),
-                       g["lx"].to_numpy(zero_copy_only=False)),
-                  g["s"].to_numpy(zero_copy_only=False))
+        np.add.at(cg, (vals["kind"], ly, lx), vals["s"])
         acc = np.zeros((2, L, L), dtype=np.int64)
         for dy in range(-D, D + 1):
             for dx in range(-D, D + 1):
@@ -835,33 +791,26 @@ def q_gw_mean(sf_dir: str):
                 sx0, sx1 = max(0, -dx), L - max(0, dx)
                 acc[:, sy0 + dy:sy1 + dy, sx0 + dx:sx1 + dx] += \
                     w * cg[:, sy0:sy1, sx0:sx1]
-        den = acc[0, D:D + T, D:D + T]
-        num = acc[1, D:D + T, D:D + T]
-        yy, xx = np.nonzero(den)
-        if not len(yy):
-            return empty
-        gy = ty * T + yy
-        gx = (tx * T + xx) % W
-        wsum = num[yy, xx]
-        wcnt = den[yy, xx]
+        hy, hx, cell_id = home_cells(acc[0] != 0, ty, tx, D)
+        wsum = acc[1, hy, hx]
+        wcnt = acc[0, hy, hx]
 
         def tdiv_vec(a, b):
             q = np.abs(a) // np.abs(b)
             return np.where((a < 0) != (b < 0), -q, q)
 
         return pa.table({
-            "cell_id": pa.array(
-                _cell_string_array_from_lattice(gy, gx, k),
-                type=pa.string()),
+            "cell_id": cell_id,
             "wsum": pa.array(wsum),
             "wcnt": pa.array(wcnt),
             "wmean_micro": pa.array(tdiv_vec(wsum, wcnt)),
         })
 
-    return (
-        occ.map_batches(halo, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("tile").map_groups(conv, batch_format="pyarrow")
-    )
+    return halo_stencil(
+        occ.map_batches(split, batch_format="pyarrow", zero_copy_batch=True),
+        D, ["s", "kind"], conv, pa.schema(
+            [("cell_id", pa.string()), ("wsum", pa.int64()),
+             ("wcnt", pa.int64()), ("wmean_micro", pa.int64())]))
 
 
 def sql_gw_mean() -> str:
@@ -875,15 +824,7 @@ def sql_gw_mean() -> str:
     )
     idx_sql = oracle.cell_from_point_sql(pts, k, CFG, id_cols=("event_id",))
     gy, gx = _dissolve_rowcol_sql(k)
-    rebuild = (
-        f"CASE gx // {side} WHEN 0 THEN 'O' WHEN 1 THEN 'P'"
-        " WHEN 2 THEN 'Q' ELSE 'R' END || "
-        + " || ".join(
-            f"CAST(((gy // {3 ** (k - 1 - i)}) % 3) * 3"
-            f" + (((gx % {side}) // {3 ** (k - 1 - i)}) % 3) AS VARCHAR)"
-            for i in range(k)
-        )
-    )
+    rebuild = _lattice_cell_sql("gy", "gx", k)
     offs = ", ".join(
         f"({dy}, {dx}, {KDE_R - max(abs(dy), abs(dx))})"
         for dy in range(-D, D + 1) for dx in range(-D, D + 1)
@@ -1010,7 +951,7 @@ def q_rfm_segments(sf_dir: str):
     (metric ASC, custkey ASC) rank order — and the 0..124 segment code
     r_q*25 + f_q*5 + m_q.  Sums/max fold through namespaced u64
     exchanges; ranking runs on the gathered per-customer table
-    (asserted under the 8M driver cap; beyond it the rank is a
+    (DriverCapExceeded past the 8M driver cap; beyond it the rank is a
     distributed sort).  Output (custkey, r_day, f, m_cents, r_q, f_q,
     m_q, segment)."""
     from rhealpixdggs_py_ray.ops.agg import max_by_u64_key, sum_by_u64_key
@@ -1063,7 +1004,7 @@ def q_rfm_segments(sf_dir: str):
             for k, v in zip(b["key"].to_pylist(), b["r"].to_pylist()):
                 r_map[int(k)] = max(r_map.get(int(k), -1), int(v))
     cks = np.array(sorted(f_map), dtype=np.int64)
-    assert len(cks) <= 8_000_000, "rfm driver rank cap"
+    check_driver_cap(len(cks), "rfm_segments")
     f = np.array([f_map[c] for c in cks.tolist()], dtype=np.int64)
     m = np.array([m_map[c] for c in cks.tolist()], dtype=np.int64)
     r = np.array([r_map[c] for c in cks.tolist()], dtype=np.int64)
@@ -5058,7 +4999,7 @@ def q_palma_ratio(sf_dir: str):
                                 batch_format="pyarrow"):
         for u, s in zip(b["user_id"].to_pylist(), b["s"].to_pylist()):
             acc[u] = acc.get(u, 0) + int(s)
-    assert len(acc) <= 8_000_000, "palma driver rank cap (see ops/cc.py)"
+    check_driver_cap(len(acc), "palma_ratio")
     ranked = sorted(acc.items(), key=lambda kv: (kv[1], kv[0]))
     n = len(ranked)
     k_bot = (4 * n + 9) // 10      # ceil(0.4 n)

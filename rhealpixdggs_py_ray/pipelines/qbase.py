@@ -25,7 +25,23 @@ from rhealpixdggs_py_ray.core.config import (
     WGS84_003,
     WGS84_123,
 )
+from rhealpixdggs_py_ray.ops.graph import DriverCapExceeded, check_driver_cap
 from rhealpixdggs_py_ray.pipelines.knn import knn_brute
+from rhealpixdggs_py_ray.pipelines.lattice import (
+    DISSOLVE_LAT,
+    DISSOLVE_RES,
+    FLOOD_T,
+    _cell_string_array_from_lattice,
+    _dissolve_rowcol_sql,
+    _lattice_cell_sql,
+    _lattice_from_cell_strings,
+    band_counts,
+    halo_stencil,
+    home_cells,
+    lattice_cell_ids,
+    lattice_of_u64,
+    u64_of_lattice,
+)
 from rhealpixdggs_py_ray.pipelines.tiles import aggregate_tiles
 from rhealpixdggs_py_ray.stages.join import CoverSemiJoin, make_cover_ref
 
@@ -359,20 +375,6 @@ KRING_K = 2
 KRING_N_EVENTS = 200
 
 
-def _band_row_col(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(band row, global column) of equatorial res-KRING_RES cells from
-    the SUID digits (suid_rowcol semantics, cell.py:269-291)."""
-    _, digits, _ = su.unpack(u)
-    N = CFG.N_side
-    row = np.zeros(len(u), dtype=np.int64)
-    col = np.zeros(len(u), dtype=np.int64)
-    for i in range(KRING_RES):
-        row = row * N + digits[:, i] // N
-        col = col * N + digits[:, i] % N
-    col = (su.face_of(u) - 1) * N**KRING_RES + col
-    return row, col
-
-
 KRING_POLAR_RES = 4
 KRING_POLAR_N = 256
 
@@ -664,22 +666,6 @@ PACK_BUCKET_W = 128   # doc_id range-bucket width (order-preserving)
 FOCAL_RES = 4  # 81 rows x 324 cols equatorial grid
 
 
-def _cells_from_band_rowcol(r: np.ndarray, c: np.ndarray, res: int) -> np.ndarray:
-    """Inverse of _band_row_col: (band row, global col) -> packed SUID
-    on the equatorial faces (suid_rowcol semantics, cell.py:269-291)."""
-    N = CFG.N_side
-    nrow = N**res
-    face = 1 + c // nrow
-    digits = np.empty((len(r), res), dtype=np.int64)
-    rr = r.astype(np.int64).copy()
-    cc = (c % nrow).astype(np.int64)
-    for i in range(res - 1, -1, -1):
-        digits[:, i] = (rr % N) * N + (cc % N)
-        rr //= N
-        cc //= N
-    return su.pack(face.astype(np.int64), digits, res)
-
-
 # ---------------------------------------------------------------------------
 # Round 2c: bloom decontamination, percentile rank, count-min sketch,
 # left outer join
@@ -941,16 +927,11 @@ ASPECT_BINS = [(1, 1), (4, 3), (3, 4), (16, 9), (9, 16)]
 # Iterative link analysis (PageRank), round 3
 PAGERANK_ITERS = 3
 PAGERANK_TOPK = 20
-PAGERANK_NODE_CAP = 8_000_000  # driver rank-vector bound (same budget as
 
 
 # ---------------------------------------------------------------------------
 # Dissolve: raster -> vector boundary of the occupied-cell region
 # ---------------------------------------------------------------------------
-
-DISSOLVE_RES = 4      # res-4 equatorial lattice: 4*3^4 = 324 cols, 81 rows
-DISSOLVE_LAT = 35.0   # keeps every point inside faces O..R (caps start ~41.9)
-
 
 def _dissolve_boundary(sf_dir: str):
     """Raster->vector dissolve (the north-star's raster<->vector tiling,
@@ -973,31 +954,12 @@ def _dissolve_boundary(sf_dir: str):
     from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
 
     k = DISSOLVE_RES
-    side = 3 ** k
-    W = 4 * side
-
-    def cells(batch: pa.Table) -> pa.Table:
-        lat = batch["lat"].to_numpy(zero_copy_only=False)
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False)
-        u = u[np.abs(lat) <= DISSOLVE_LAT]
-        return pa.table({
-            "cell_u64": pa.array(u, type=pa.uint64()),
-            "one": pa.array(np.ones(len(u), dtype=np.int64)),
-        })
-
-    occ = sum_by_u64_key(
-        indexed_events(sf_dir, resolution=k).map_batches(
-            cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n_pts",
-    )
+    W = 4 * 3 ** k
+    occ = band_counts(indexed_events(sf_dir, resolution=k), "n_pts")
 
     def edges(batch: pa.Table) -> pa.Table:
-        u = batch["cell_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        face, digits, _res = su.unpack(u)
-        d = digits[:, :k].astype(np.int64)
-        pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        gy = (d // 3) @ pw
-        gx = (face.astype(np.int64) - 1) * side + (d % 3) @ pw
+        gy, gx = lattice_of_u64(
+            batch["cell_u64"].to_numpy(zero_copy_only=False), k)
         # undirected key: typ<<41 | y<<21 | x ; weight 4 + direction
         def key(typ, y, x):
             return (np.int64(typ) << np.int64(41)) | (y << np.int64(21)) | x
@@ -1041,53 +1003,11 @@ def _dissolve_boundary(sf_dir: str):
     return bd.map_batches(decode, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _dissolve_rowcol_sql(k: int) -> tuple[str, str]:
-    """Closed-form (gy, gx) from the cell_id string digits."""
-    side = 3 ** k
-    gy = " + ".join(
-        f"(CAST(substr(cell_id, {1 + i}, 1) AS INT) // 3) * {3 ** (k - i)}"
-        for i in range(1, k + 1)
-    )
-    gx = " + ".join(
-        f"(CAST(substr(cell_id, {1 + i}, 1) AS INT) % 3) * {3 ** (k - i)}"
-        for i in range(1, k + 1)
-    )
-    face = ("(CASE substr(cell_id, 1, 1) WHEN 'O' THEN 0 WHEN 'P' THEN 1"
-            f" WHEN 'Q' THEN 2 ELSE 3 END) * {side}")
-    return gy, f"{face} + {gx}"
-
-
 # ---------------------------------------------------------------------------
 # Line buffer cover: Chebyshev-r dilation of the linetrace supercover
 # ---------------------------------------------------------------------------
 
 LINE_BUFFER_R = 2  # lattice Chebyshev radius (cells)
-
-
-def _lattice_from_cell_strings(cell_id: np.ndarray, k: int):
-    """Vectorized (gy, gx) from fixed-width equatorial cell_id strings.
-    Faces O..R are contiguous ASCII (79..82), digit chars are '0'..'8'."""
-    b = np.frombuffer(
-        np.asarray(cell_id, dtype=f"S{k + 1}").tobytes(), dtype=np.uint8
-    ).reshape(-1, k + 1)
-    side = 3 ** k
-    face_col = b[:, 0].astype(np.int64) - 79
-    d = b[:, 1:].astype(np.int64) - 48
-    pw = (3 ** np.arange(k - 1, -1, -1)).astype(np.int64)
-    gy = (d // 3) @ pw
-    gx = face_col * side + (d % 3) @ pw
-    return gy, gx
-
-
-def _cell_string_array_from_lattice(gy, gx, k) -> np.ndarray:
-    side = 3 ** k
-    out = np.empty((len(gy), k + 1), dtype=np.uint8)
-    out[:, 0] = 79 + gx // side
-    gxw = gx % side
-    for i in range(k):
-        p = 3 ** (k - 1 - i)
-        out[:, 1 + i] = 48 + ((gy // p) % 3) * 3 + ((gxw // p) % 3)
-    return out.view(f"S{k + 1}").ravel().astype(str)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,7 +1077,6 @@ OOV_K = 64
 # ---------------------------------------------------------------------------
 
 FLOOD_D = 4       # BFS depth cap == halo width
-FLOOD_T = 27      # tile size (divides both 81 rows and 324 cols)
 FLOOD_SEED_MOD = 97
 
 
@@ -2407,6 +2326,8 @@ def _schema_anchor(ds, table):
 
 __all__ = [
     "_schema_anchor",
+    "DriverCapExceeded",
+    "check_driver_cap",
     "annotations",
     "hashlib",
     "np",
@@ -2478,7 +2399,9 @@ __all__ = [
     "KRING_RES",
     "KRING_K",
     "KRING_N_EVENTS",
-    "_band_row_col",
+    "lattice_of_u64",
+    "u64_of_lattice",
+    "lattice_cell_ids",
     "KRING_POLAR_RES",
     "KRING_POLAR_N",
     "_polar_seed_lonlat",
@@ -2532,7 +2455,6 @@ __all__ = [
     "PACK_CTX",
     "PACK_BUCKET_W",
     "FOCAL_RES",
-    "_cells_from_band_rowcol",
     "BLOOM_M",
     "BLOOM_K",
     "CMS_D",
@@ -2587,11 +2509,14 @@ __all__ = [
     "ASPECT_BINS",
     "PAGERANK_ITERS",
     "PAGERANK_TOPK",
-    "PAGERANK_NODE_CAP",
     "DISSOLVE_RES",
     "DISSOLVE_LAT",
     "_dissolve_boundary",
     "_dissolve_rowcol_sql",
+    "_lattice_cell_sql",
+    "band_counts",
+    "halo_stencil",
+    "home_cells",
     "LINE_BUFFER_R",
     "_lattice_from_cell_strings",
     "_cell_string_array_from_lattice",

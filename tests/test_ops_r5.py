@@ -435,3 +435,34 @@ def test_lof_attach_raises_on_missing_neighbor():
     for nb in (7, 12):
         with pytest.raises(KeyError, match="lof_outliers"):
             _lof_attach(group([5, 9, nb], [-1, -1, 0], [50, 90, -1]))
+
+
+def test_driver_cap_raises_typed_error(ray_session, monkeypatch):
+    """A driver-side edge gather past ops/graph.DRIVER_EDGE_CAP raises
+    DriverCapExceeded, read at call time (q_random_walks has no
+    distributed route)."""
+    import pytest
+    from rhealpixdggs_py_ray.ops import graph
+    from rhealpixdggs_py_ray.pipelines import queries as Q
+
+    monkeypatch.setattr(graph, "DRIVER_EDGE_CAP", 0)
+    with pytest.raises(graph.DriverCapExceeded, match="random_walks"):
+        Q.q_random_walks(SF)
+
+
+def test_driver_cap_survives_python_O():
+    """The cap is a raise, not an assert: ``python -O`` keeps it."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("from rhealpixdggs_py_ray.ops import graph\n"
+            "graph.DRIVER_EDGE_CAP = 1\n"
+            "try:\n"
+            "    graph.check_driver_cap(2, 'probe')\n"
+            "except graph.DriverCapExceeded as e:\n"
+            "    print('raised', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True, cwd=repo).stdout
+    assert out.startswith("raised probe: 2 rows exceed the driver cap 1")
