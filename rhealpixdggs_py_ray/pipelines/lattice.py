@@ -73,14 +73,8 @@ def _lattice_from_cell_strings(cell_id: np.ndarray, k: int):
 
 
 def _cell_string_array_from_lattice(gy, gx, k) -> np.ndarray:
-    side = 3 ** k
-    out = np.empty((len(gy), k + 1), dtype=np.uint8)
-    out[:, 0] = 79 + gx // side
-    gxw = gx % side
-    for i in range(k):
-        p = 3 ** (k - 1 - i)
-        out[:, 1 + i] = 48 + ((gy // p) % 3) * 3 + ((gxw // p) % 3)
-    return out.view(f"S{k + 1}").ravel().astype(str)
+    """cell_id strings (numpy ``str``) of lattice points."""
+    return lattice_cell_ids(gy, gx, k).to_numpy(zero_copy_only=False).astype(str)
 
 
 # ---------------------------------------------------------------------------

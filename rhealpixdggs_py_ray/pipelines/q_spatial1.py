@@ -3817,8 +3817,7 @@ def q_grid_flood(sf_dir: str):
 
     occ = band_counts(
         indexed_events(sf_dir, resolution=k), "n_seed",
-        value=lambda b: (b["event_id"].to_numpy(zero_copy_only=False)
-                         % FLOOD_SEED_MOD == 0).astype(np.int64))
+        value=_flood_seed)
 
     def bfs(ty, tx, ly, lx, vals) -> pa.Table:
         ns = vals["n_seed"]

@@ -1080,6 +1080,12 @@ FLOOD_D = 4       # BFS depth cap == halo width
 FLOOD_SEED_MOD = 97
 
 
+def _flood_seed(batch: pa.Table) -> np.ndarray:
+    """1 for a flood seed event (event_id % FLOOD_SEED_MOD == 0), else 0."""
+    return (batch["event_id"].to_numpy(zero_copy_only=False)
+            % FLOOD_SEED_MOD == 0).astype(np.int64)
+
+
 QUOTA_N = 73
 
 
@@ -2528,6 +2534,7 @@ __all__ = [
     "FLOOD_D",
     "FLOOD_T",
     "FLOOD_SEED_MOD",
+    "_flood_seed",
     "QUOTA_N",
     "ADAPT_MAX_RES",
     "ADAPT_CAP",
