@@ -139,25 +139,26 @@ def _east_west_vec(cfg: EngineConfig, u: np.ndarray):
     tie-breaks, which the walk builders rely on for reference-order
     parity — one vectorized call replaces a per-cell dict build."""
     u = np.asarray(u, dtype=np.uint64)
-    pn = tp.neighbors_plane(cfg, u)  # (n, 4) in (up, right, down, left)
     shape = idx.shape_of(cfg, u)
-    east = pn[:, RIGHT].copy()
-    west = pn[:, LEFT].copy()
+    east = tp.neighbor(cfg, u, RIGHT)
+    west = tp.neighbor(cfg, u, LEFT)
     nonquad = (shape == idx.SHAPE_DART) | (shape == idx.SHAPE_SKEW)
     if not nonquad.any():
         return east, west
+    # Only darts and skew quads relabel, from all four planar
+    # neighbours in the reference's dict-iteration order [left, right,
+    # down, up] (cell.py:1366-1368).
     uu = u[nonquad]
-    # candidates in the reference's dict-iteration order [left, right,
-    # down, up] (cell.py:1366-1368)
     cand = np.stack(
-        [pn[nonquad, LEFT], pn[nonquad, RIGHT], pn[nonquad, DOWN], pn[nonquad, UP]],
+        [west[nonquad], east[nonquad], tp.neighbor(cfg, uu, DOWN), tp.neighbor(cfg, uu, UP)],
         axis=1,
     )
     m = cand.shape[0]
-    lon, lat = idx.nucleus(cfg, cand.ravel(), plane=False)
-    lon = lon.reshape(m, 4)
-    lat = lat.reshape(m, 4)
-    my_lon, _ = idx.nucleus(cfg, uu, plane=False)
+    # One nucleus call for the candidates and the cells themselves.
+    lon, lat = idx.nucleus(cfg, np.concatenate([cand.ravel(), uu]), plane=False)
+    my_lon = lon[4 * m:]
+    lon = lon[:4 * m].reshape(m, 4)
+    lat = lat[:4 * m].reshape(m, 4)
     lon_s = wrap_longitude(lon - my_lon[:, None], radians=cfg.radians)
 
     e_nq = np.empty(m, dtype=np.uint64)

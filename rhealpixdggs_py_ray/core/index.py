@@ -37,8 +37,11 @@ def cell_from_point(
 
     ``x, y`` are planar meters when ``plane`` else (lon, lat) in the
     config's angle unit.  Returns packed uint64 cells; INVALID marks
-    off-grid points.
+    off-grid points.  Resolutions past ``su.MAX_PACK_RESOLUTION`` raise
+    ValueError, as ``su.pack`` does.
     """
+    if resolution > su.MAX_PACK_RESOLUTION:
+        raise ValueError(f"resolution {resolution} > {su.MAX_PACK_RESOLUTION}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not plane:
@@ -49,7 +52,10 @@ def cell_from_point(
     R = cfg.R_A
     pi = math.pi
 
-    # Resolution-0 face selection (dggs.py:768-795); first match wins.
+    # Resolution-0 face selection (dggs.py:768-795).  The north, south
+    # and band tests are disjoint, and so are the band's four [lo, hi)
+    # columns, so the face is one sum of the comparisons: N (0) adds
+    # nothing, a band column adds 1..4 and S adds 5.
     eq_band = (y >= -R * pi / 4) & (y <= R * pi / 4)
     north = (
         (y > R * pi / 4)
@@ -63,20 +69,14 @@ def cell_from_point(
         & (x > R * (-pi + ss * (pi / 2)))
         & (x < R * (-pi / 2 + ss * (pi / 2)))
     )
-    face = np.full(x.shape, -1, dtype=np.int64)
-    face[north] = 0
-    face[south & (face < 0)] = 5
-    for i, (lo, hi) in enumerate(
-        [(-pi, -pi / 2), (-pi / 2, 0.0), (0.0, pi / 2), (pi / 2, pi)]
-    ):
-        m = eq_band & (x >= R * lo) & (x < R * hi) & (face < 0)
-        face[m] = i + 1
-    valid = face >= 0
-    fidx = np.where(valid, face, 0)
+    column = sum((x >= R * lo).view(np.int8) for lo in (-pi, -pi / 2, 0.0, pi / 2))
+    column *= (eq_band & (x < R * pi)).view(np.int8)
+    fidx = column + 5 * south.view(np.int8)
+    valid = (column > 0) | north | south
 
     if resolution == 0:
-        out = (fidx.astype(np.uint64) << np.uint64(60))
-        out[~valid] = INVALID
+        out = fidx.astype(np.uint64) << np.uint64(60)
+        out[np.flatnonzero(~valid)] = INVALID
         return out
 
     # Fractional offsets from the face's ul vertex (dggs.py:803-814).
@@ -86,23 +86,56 @@ def cell_from_point(
     dx = np.abs(x - ulx) / w
     dy = np.abs(y - uly) / w
     smidgen = 0.5 * cfg.cell_width(cfg.max_resolution) / w
-    dx = np.where(dx == 1, dx - smidgen, dx)
-    dy = np.where(dy == 1, dy - smidgen, dy)
+    for d in (dx, dy):
+        d[np.flatnonzero(d == 1)] -= smidgen
 
     N = cfg.N_side
     scale = float(N**resolution)
     row = (dy * scale).astype(np.int64)  # trunc toward zero == int()
     col = (dx * scale).astype(np.int64)
 
-    out = fidx.astype(np.uint64) << np.uint64(60)
-    for i in range(resolution):
-        p = N ** (resolution - 1 - i)
-        rd = (row // p) % N
-        cd = (col // p) % N
-        child = (rd * N + cd).astype(np.uint64)  # child_order[(r, c)] = r*N + c
-        out |= child << np.uint64(56 - 4 * i)
-    out |= np.uint64(resolution)
-    out[~valid] = INVALID
+    # Level-i digit is child_order[(r, c)] = r*N + c of the i-th base-N
+    # digits of (row, col); N*N <= 16, so N * spread(row) + spread(col)
+    # is every level's digit in its own nibble, least significant last.
+    digits = np.uint64(N) * _spread_digits(row, N, resolution) + _spread_digits(col, N, resolution)
+    out = (
+        (fidx.astype(np.uint64) << np.uint64(60))
+        | (digits << np.uint64(60 - 4 * resolution))
+        | np.uint64(resolution)
+    )
+    out[np.flatnonzero(~valid)] = INVALID
+    return out
+
+
+_SPREAD_WIDTH = 5  # base-N digits per table lookup
+_SPREAD: dict[int, np.ndarray] = {}
+
+
+def _spread_table(N: int) -> np.ndarray:
+    """uint64[N**5]: entry v holds v's five base-N digits, one per
+    nibble, least significant digit in the lowest nibble."""
+    t = _SPREAD.get(N)
+    if t is None:
+        v = np.arange(N**_SPREAD_WIDTH, dtype=np.uint64)
+        t = np.zeros_like(v)
+        for j in range(_SPREAD_WIDTH):
+            t |= ((v // np.uint64(N**j)) % np.uint64(N)) << np.uint64(4 * j)
+        _SPREAD[N] = t
+    return t
+
+
+def _spread_digits(v: np.ndarray, N: int, resolution: int) -> np.ndarray:
+    """The low ``resolution`` base-N digits of int64 ``v``, one per
+    nibble (the per-level ``(v // N**k) % N`` of dggs.py:816-829)."""
+    t = _spread_table(N)
+    base = N**_SPREAD_WIDTH
+    v = v % N**resolution
+    if resolution <= _SPREAD_WIDTH:
+        return t[v]
+    out = t[v % base]
+    for k in range(1, -(-resolution // _SPREAD_WIDTH)):
+        v = v // base
+        out |= t[v % base] << np.uint64(4 * _SPREAD_WIDTH * k)
     return out
 
 
@@ -189,16 +222,16 @@ def shape_of(cfg: EngineConfig, u: np.ndarray) -> np.ndarray:
     cap = polar & (N % 2 == 1)
     diag1 = polar.copy()  # digits on main diagonal {i*(N+1)}
     diag2 = polar.copy()  # digits on anti diagonal {(i+1)*(N-1)}
-    s1 = {i * (N + 1) for i in range(N)}
-    s2 = {(i + 1) * (N - 1) for i in range(N)}
+    on1 = np.zeros(N * N, dtype=bool)
+    on1[[i * (N + 1) for i in range(N)]] = True
+    on2 = np.zeros(N * N, dtype=bool)
+    on2[[(i + 1) * (N - 1) for i in range(N)]] = True
     for i in range(digits.shape[1]):
         has = resL > i
-        d = digits[:, i].astype(np.int64)
+        d = digits[:, i]
         cap &= ~has | (d == center)
-        in1 = np.isin(d, list(s1))
-        in2 = np.isin(d, list(s2))
-        diag1 &= ~has | in1
-        diag2 &= ~has | in2
+        diag1 &= ~has | on1[d]
+        diag2 &= ~has | on2[d]
     out[polar & (diag1 | diag2)] = SHAPE_DART
     out[cap] = SHAPE_CAP  # cap wins over dart (center digit is on diag1)
     out[polar & (resL == 0)] = SHAPE_CAP  # res-0 N/S are caps for any N_side

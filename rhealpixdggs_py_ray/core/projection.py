@@ -47,22 +47,22 @@ _SINQ = np.array([0.0, 1.0, 0.0, -1.0])
 # ---------------------------------------------------------------------------
 
 def healpix_sphere(lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HEALPix projection of the unit sphere (pj_healpix.py:30-61)."""
+    """HEALPix projection of the unit sphere (pj_healpix.py:30-61).
+    The polar branch runs on the polar rows only."""
     lam = np.asarray(lam, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     phi0 = math.asin(2.0 / 3)
-    equatorial = np.abs(phi) <= phi0
-
-    # Polar branch (evaluated everywhere; selected by mask).
-    sigma = np.sqrt(3 * (1 - np.abs(np.sin(phi))))
-    cap = np.floor(2 * lam / PI + 2)
-    cap = np.where(cap >= 4, 3.0, cap)
-    lamc = -3 * PI / 4 + (PI / 2) * cap
-    x_pol = lamc + (lam - lamc) * sigma
-    y_pol = np.sign(phi) * (PI / 4) * (2 - sigma)
-
-    x = np.where(equatorial, lam, x_pol)
-    y = np.where(equatorial, 3 * PI / 8 * np.sin(phi), y_pol)
+    sin_phi = np.sin(phi)
+    x = lam.copy()
+    y = 3 * PI / 8 * sin_phi
+    polar = np.flatnonzero(~(np.abs(phi) <= phi0))
+    if polar.size:
+        lam_p = lam.take(polar)
+        sigma = np.sqrt(3 * (1 - np.abs(sin_phi.take(polar))))
+        cap = np.minimum(np.floor(2 * lam_p / PI + 2), 3.0)  # integral: >= 4 iff > 3
+        lamc = -3 * PI / 4 + (PI / 2) * cap
+        x[polar] = lamc + (lam_p - lamc) * sigma
+        y[polar] = np.sign(phi.take(polar)) * (PI / 4) * (2 - sigma)
     return x, y
 
 
@@ -148,22 +148,17 @@ def triangle(
     ns = north_square % 4
     ss = south_square % 4
 
-    region = np.zeros(x.shape, dtype=np.int8)
-    region[y > PI / 4] = REGION_NORTH
-    region[y < -PI / 4] = REGION_SOUTH
-
-    tri = np.full(x.shape, -1, dtype=np.int64)
-    north = region == REGION_NORTH
-    south = region == REGION_SOUTH
+    north = y > PI / 4
+    south = y < -PI / 4
+    region = north.view(np.int8) * REGION_NORTH + south.view(np.int8) * REGION_SOUTH
 
     if not inverse:
-        # HEALPix image: triangle from x bins (pj_rhealpix.py:209-219).
-        t = np.full(x.shape, 3, dtype=np.int64)
-        t = np.where(x < PI / 2, 2, t)
-        t = np.where(x < 0, 1, t)
-        t = np.where(x < -PI / 2, 0, t)
-        tri = np.where(north | south, t, tri)
+        # HEALPix image: triangle from x bins (pj_rhealpix.py:209-219):
+        # 3, less one per bin edge right of x; -1 off the poles.
+        t1 = 4 - ((x < PI / 2).view(np.int8) + (x < 0).view(np.int8) + (x < -PI / 2).view(np.int8))
+        tri = (t1 * (region != 0) - 1).astype(np.int64)
     else:
+        tri = np.full(x.shape, -1, dtype=np.int64)
         eps = 1e-15  # fuzz, pj_rhealpix.py:231
         # North polar square (pj_rhealpix.py:235-244).
         L1n = x - (-3 * PI / 4 + (ns - 1) * PI / 2)
@@ -193,40 +188,59 @@ def combine_triangles(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rearrange HEALPix polar triangles into polar squares and back
     (pj_rhealpix.py:51-117).  Rotations are gathers of exact 0/±1
-    cos/sin values, reproducing ``dot(ROTATE[k], xy - tc) + u``."""
+    cos/sin values, reproducing ``dot(ROTATE[k], xy - tc) + u``; only
+    the polar rows are rotated."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     ns = north_square % 4
     ss = south_square % 4
+    polar = np.flatnonzero((y > PI / 4) | (y < -PI / 4))  # triangle()'s region rule
+    if polar.size == x.size:
+        return _rotate_polar(x, y, ns, ss, inverse)
+    xo = x.copy()
+    yo = y.copy()
+    if polar.size:
+        xo[polar], yo[polar] = _rotate_polar(x.take(polar), y.take(polar), ns, ss, inverse)
+    return xo, yo
+
+
+def _rotate_polar(x, y, ns: int, ss: int, inverse: bool):
+    """combine_triangles on rows that are all polar.  Every operand but
+    x and y depends only on (north?, triangle), so one gather from an
+    8-column table replaces the per-row selects."""
     c, region = triangle(x, y, north_square=ns, south_square=ss, inverse=inverse)
-    north = region == REGION_NORTH
-    south = region == REGION_SOUTH
-    polar = north | south
-    if not np.any(polar):
-        return x.copy(), y.copy()
-
-    cpol = np.where(polar, c, 0)
-    tcx = -3 * PI / 4 + cpol * (PI / 2)
-    tcy = np.sign(y) * (PI / 2)
-    ux = np.where(north, -3 * PI / 4 + ns * (PI / 2), -3 * PI / 4 + ss * (PI / 2))
-    uy = np.where(north, PI / 2, -PI / 2)
-
-    if not inverse:
-        q = np.where(north, (cpol - ns) % 4, (-(cpol - ss)) % 4)
-        px, py = tcx, tcy  # rotate about tc ...
-        sx, sy = ux, uy    # ... then translate to u
-    else:
-        q = np.where(north, (-(cpol - ns)) % 4, (cpol - ss) % 4)
-        px, py = ux, uy
-        sx, sy = tcx, tcy
-
-    cq = _COSQ[q]
-    sq = _SINQ[q]
+    k = c + 4 * (region == REGION_NORTH)
+    px, py, sx, sy, cq, sq, nsq = _polar_table(ns, ss, inverse).take(k, axis=1)
     xr = x - px
     yr = y - py
-    xo = cq * xr + (-sq) * yr + sx
-    yo = sq * xr + cq * yr + sy
-    return np.where(polar, xo, x), np.where(polar, yo, y)
+    return cq * xr + nsq * yr + sx, sq * xr + cq * yr + sy
+
+
+_POLAR_TABLES: dict = {}
+
+
+def _polar_table(ns: int, ss: int, inverse: bool) -> np.ndarray:
+    """(7, 8) float64 operands of combine_triangles' rotation, column
+    4 * north + triangle: rows px, py (rotation centre), sx, sy
+    (translation), cos q, sin q and -sin q, evaluated as the reference
+    does per point: rotate about tc = (-3pi/4 + c pi/2, sign(y) pi/2),
+    translate to u = (-3pi/4 + square pi/2, +-pi/2), or back when
+    inverting (pj_rhealpix.py:51-117)."""
+    key = (ns, ss, inverse)
+    t = _POLAR_TABLES.get(key)
+    if t is None:
+        t = np.empty((7, 8), dtype=np.float64)
+        for north in (0, 1):
+            for c in range(4):
+                tc = (-3 * PI / 4 + c * (PI / 2), PI / 2 if north else -PI / 2)
+                u = (-3 * PI / 4 + (ns if north else ss) * (PI / 2), PI / 2 if north else -PI / 2)
+                q = (c - ns) % 4 if north else (-(c - ss)) % 4
+                if inverse:
+                    q = (-q) % 4
+                centre, shift = (u, tc) if inverse else (tc, u)
+                t[:, 4 * north + c] = (*centre, *shift, _COSQ[q], _SINQ[q], -_SINQ[q])
+        _POLAR_TABLES[key] = t
+    return t
 
 
 def in_rhealpix_image(

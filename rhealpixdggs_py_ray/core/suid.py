@@ -18,10 +18,12 @@ cover ordering within a face (dggs.py:1194) and its alphanumeric sort
 (rhp_wrappers.py:123-160); successor becomes +1 in digit space
 (cell.py:317-376).
 
-Supports N_side in {2, 3} (digit < 9 < 16) and resolution <= 14, which
-covers every parameterization exercised by the reference's tests; the
-canonical WGS84_003 grid has max_resolution 15, and resolution-15 cells
-fall back to string addressing (documented limitation).
+Supports N_side in {2, 3} (digit < 9 < 16) and resolution <= 14
+(MAX_PACK_RESOLUTION), which covers every parameterization exercised by
+the reference's tests.  The canonical WGS84_003 grid has max_resolution
+15, but resolution-15 cells have no packed or string form here:
+``pack`` and ``index.cell_from_point`` raise ValueError past
+MAX_PACK_RESOLUTION.
 """
 
 from __future__ import annotations

@@ -39,6 +39,19 @@ def test_cell_from_point_offgrid():
     assert u[0] == idx.INVALID
 
 
+def test_cell_from_point_rejects_unpackable_resolution():
+    """Resolution 15 has no nibble left: it used to OR the 15th digit
+    into the resolution field ('Q33333333333041?')."""
+    from rhealpixdggs_py_ray.core import wrappers as W
+
+    assert su.MAX_PACK_RESOLUTION == 14
+    assert len(W.geo_to_rhp(20.0, 10.0, su.MAX_PACK_RESOLUTION)) == 15
+    with pytest.raises(ValueError, match="resolution 15 > 14"):
+        idx.cell_from_point(WGS84_003, 15, np.array([10.0]), np.array([20.0]), plane=False)
+    with pytest.raises(ValueError, match="resolution 15 > 14"):
+        W.geo_to_rhp(20.0, 10.0, 15)
+
+
 def test_ul_vertex_goldens():
     # cell.py:500 (UNIT_003 N0 -> (-pi, 3pi/4))
     u = su.from_string(["N0"])
