@@ -1457,16 +1457,7 @@ def q_negative_samples(sf_dir: str):
     probes per node via row_number.  Output (user_id, neg_id, probe)."""
     from rhealpixdggs_py_ray.fixtures import splitmix64
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "negative_samples")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "negative_samples")
     nodes = np.unique(np.concatenate([ua, ub]))
     n = len(nodes)
     edge_set = set(zip(ua.tolist(), ub.tolist()))

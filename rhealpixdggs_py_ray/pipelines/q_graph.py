@@ -489,16 +489,7 @@ def q_random_walks(sf_dir: str):
     Output (user_id, visits)."""
     from rhealpixdggs_py_ray.fixtures import splitmix64
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "random_walks")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "random_walks")
     # capped ascending neighbor lists (common_neighbors' CN_DEG rule)
     m = np.concatenate([ua, ub])
     x = np.concatenate([ub, ua])
@@ -598,16 +589,7 @@ def q_spectral_partition(sf_dir: str):
     edge table.  Output (user_id, v_q20, side)."""
     from rhealpixdggs_py_ray.fixtures import splitmix64
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "spectral_partition")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "spectral_partition")
     nodes = np.unique(np.concatenate([ua, ub]))
     nid = {int(n): i for i, n in enumerate(nodes)}
     n = len(nodes)
@@ -800,16 +782,7 @@ def q_degree_assortativity(sf_dir: str):
     Output one row (m2, sx, sxy, sxx, r_e6)."""
     import math
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "degree_assortativity")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "degree_assortativity")
     nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
     dmap = dict(zip(nodes.tolist(), deg.tolist()))
     da = np.array([dmap[u] for u in ua.tolist()], dtype=np.int64)
@@ -1001,16 +974,7 @@ def q_giant_component(sf_dir: str):
     Output (n_nodes, n_components, giant_size, frac_e6)."""
     from rhealpixdggs_py_ray.ops import cc
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "giant_component")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "giant_component")
     nodes, lab = cc._union_find_label(ua, ub)
     _, sizes = np.unique(lab, return_counts=True)
     n_nodes = len(nodes)
@@ -1058,16 +1022,7 @@ def q_graph_bfs(sf_dir: str):
     sweep under the 8M driver cap), capped at GRAPH_BFS_CAP hops;
     unreachable-within-cap nodes report as dist = -1.
     Output (dist, n_nodes)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "graph_bfs")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "graph_bfs")
     nodes = np.unique(np.concatenate([ua, ub]))
     cu = np.searchsorted(nodes, ua)
     cv = np.searchsorted(nodes, ub)
@@ -1128,16 +1083,7 @@ def q_eigencentrality(sf_dir: str):
     precedent), starting from all-ones.  Driver iteration under the
     8M-edge cc.py cap; the distributed hash-bucket iteration is the
     beyond-cap path.  Output (user_id, score_q)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "eigencentrality")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "eigencentrality")
     nodes = np.unique(np.concatenate([ua, ub]))
     cu = np.searchsorted(nodes, ua)
     cv = np.searchsorted(nodes, ub)
@@ -1203,16 +1149,7 @@ def q_adamic_adar(sf_dir: str):
     under the 8M-edge cc.py cap.  Output (user_a, user_b, aa_q)."""
     import math
 
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "adamic_adar")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "adamic_adar")
     nodes = np.unique(np.concatenate([ua, ub]))
     Nn = len(nodes)
     assert Nn <= 20000
@@ -1286,16 +1223,7 @@ def q_graph_modularity(sf_dir: str):
     Composes q_home_cells (community = modal res-3 cell) with the
     cached edge set under the cc.py cap.
     Output (m_edges, n_communities, q_e9)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "graph_modularity")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "graph_modularity")
     hc = q_home_cells(sf_dir)
     home: dict = {}
     for b in (hc.iter_batches(batch_format="pyarrow")
@@ -1303,7 +1231,7 @@ def q_graph_modularity(sf_dir: str):
         for u, c in zip(b["user_id"].to_pylist(),
                         b["home_cell"].to_pylist()):
             home[int(u)] = c
-    m = len(ek)
+    m = len(ua)
     e_c: dict = {}
     d_c: dict = {}
     for a, b2 in zip(ua.tolist(), ub.tolist()):
@@ -1479,16 +1407,7 @@ def q_rich_club(sf_dir: str):
     pairs, exact integers: phi_e6 = 2 * e_rich * 1e6 //
     (n_rich * (n_rich - 1)).  Driver compute under the 8M cap.
     Output (n_rich, e_rich, phi_e6)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "rich_club")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "rich_club")
     nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
     rich = set(nodes[deg >= RICH_DEG].tolist())
     n_rich = len(rich)
@@ -1534,16 +1453,7 @@ def q_degree_histogram(sf_dir: str):
     scale-free-or-not readout: bin k = floor(log2(degree)) computed
     by EXACT integer comparison against powers of two (no float
     log), counts per bin.  Output (bin, lo_degree, n_nodes)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "degree_histogram")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "degree_histogram")
     _nodes, deg = np.unique(np.concatenate([ua, ub]), return_counts=True)
     bins = np.zeros(len(deg), dtype=np.int64)
     for k in range(1, 32):
@@ -1582,16 +1492,7 @@ def q_zero_support_edges(sf_dir: str):
     for information flow: counted with the packed-bitset AND/popcount
     (the k_truss machinery) under the driver cap.
     Output (n_edges, n_zero_support, frac_e6)."""
-    edges = _copresence_edges(sf_dir)
-    parts = []
-    for b in edges.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            parts.append(b["key"].to_numpy(zero_copy_only=False)
-                         .astype(np.uint64))
-    ek = (np.concatenate(parts) if parts else np.array([], dtype=np.uint64))
-    check_driver_cap(len(ek), "zero_support_edges")
-    ua = (ek >> np.uint64(32)).astype(np.int64)
-    ub = (ek & np.uint64((1 << 32) - 1)).astype(np.int64)
+    ua, ub = _copresence_edge_ends(sf_dir, "zero_support_edges")
     nodes = np.unique(np.concatenate([ua, ub]))
     Nn = len(nodes)
     assert Nn <= 20000
@@ -1611,7 +1512,7 @@ def q_zero_support_edges(sf_dir: str):
         C = A[cu[sl]] & A[cv[sl]]
         sup = lut[C.view(np.uint8)].reshape(C.shape[0], -1).sum(axis=1)
         zero += int((sup == 0).sum())
-    m = len(ek)
+    m = len(ua)
     return pa.table({
         "n_edges": pa.array([m], type=pa.int64()),
         "n_zero_support": pa.array([zero], type=pa.int64()),

@@ -1602,6 +1602,19 @@ def _copresence_edges(sf_dir: str):
         f"copresence:{sf_dir}", lambda: _copresence_edges_build(sf_dir))
 
 
+def _copresence_edge_ends(sf_dir: str, what: str):
+    """Gather the co-presence edge keys to the driver under the one
+    driver cap (``check_driver_cap(n, what)``) and split them into
+    int64 endpoint arrays (ua, ub), ua < ub."""
+    parts = [b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
+             for b in _copresence_edges(sf_dir).iter_batches(batch_format="pyarrow")
+             if b.num_rows]
+    ek = np.concatenate(parts) if parts else np.array([], dtype=np.uint64)
+    check_driver_cap(len(ek), what)
+    return ((ek >> np.uint64(32)).astype(np.int64),
+            (ek & np.uint64((1 << 32) - 1)).astype(np.int64))
+
+
 def _copresence_edges_build(sf_dir: str):
     """Distinct visits fold through one u64 exchange; per-(tile,day)
     groups emit pair partials (group size bounded by concurrent
@@ -2617,6 +2630,7 @@ __all__ = [
     "CN_DEG",
     "KCORE_K",
     "KCORE_ITERS",
+    "_copresence_edge_ends",
     "_copresence_edges",
     "_copresence_edges_build",
     "_copresence_sql_ctes",
