@@ -120,6 +120,7 @@ def _spread_table(N: int) -> np.ndarray:
         t = np.zeros_like(v)
         for j in range(_SPREAD_WIDTH):
             t |= ((v // np.uint64(N**j)) % np.uint64(N)) << np.uint64(4 * j)
+        t.flags.writeable = False
         _SPREAD[N] = t
     return t
 

@@ -239,6 +239,7 @@ def _polar_table(ns: int, ss: int, inverse: bool) -> np.ndarray:
                     q = (-q) % 4
                 centre, shift = (u, tc) if inverse else (tc, u)
                 t[:, 4 * north + c] = (*centre, *shift, _COSQ[q], _SINQ[q], -_SINQ[q])
+        t.flags.writeable = False
         _POLAR_TABLES[key] = t
     return t
 

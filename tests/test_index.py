@@ -52,6 +52,22 @@ def test_cell_from_point_rejects_unpackable_resolution():
         W.geo_to_rhp(20.0, 10.0, 15)
 
 
+def test_spread_digits_matches_per_level_loop():
+    """The digit table packs exactly what the per-level
+    ``(v // N**k) % N`` loop packed, including values that wrap past
+    N**res."""
+    rng = np.random.default_rng(5)
+    for N in (2, 3):
+        for res in range(1, su.MAX_PACK_RESOLUTION + 1):
+            top = N**res
+            v = np.concatenate([rng.integers(0, top, 300), [0, top - 1, top, 2 * top + 7, -1, -top]])
+            want = np.zeros(len(v), dtype=np.uint64)
+            for i in range(res):
+                k = res - 1 - i
+                want |= ((v // N**k) % N).astype(np.uint64) << np.uint64(4 * k)
+            assert np.array_equal(idx._spread_digits(v.astype(np.int64), N, res), want), (N, res)
+
+
 def test_ul_vertex_goldens():
     # cell.py:500 (UNIT_003 N0 -> (-pi, 3pi/4))
     u = su.from_string(["N0"])
