@@ -348,9 +348,9 @@ def centroid(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
         lat[simple] = np_
         quad = shape == SHAPE_QUAD
         if quad.any():
+            # Longitude is the nucleus's, set above; latitude the mean
+            # of the four vertex latitudes.
             vq = vertices(cfg, u[quad], plane=False)
-            nlq, _ = nucleus(cfg, u[quad], plane=False)
-            lon[quad] = nlq
             lat[quad] = vq[:, :, 1].sum(axis=1) / 4
 
     skew = shape == SHAPE_SKEW

@@ -158,24 +158,30 @@ def triangle(
         t1 = 4 - ((x < PI / 2).view(np.int8) + (x < 0).view(np.int8) + (x < -PI / 2).view(np.int8))
         tri = (t1 * (region != 0) - 1).astype(np.int64)
     else:
+        # Each polar square's formulas run on its own rows only; a
+        # later rule overrides an earlier one, as in the reference.
         tri = np.full(x.shape, -1, dtype=np.int64)
         eps = 1e-15  # fuzz, pj_rhealpix.py:231
         # North polar square (pj_rhealpix.py:235-244).
-        L1n = x - (-3 * PI / 4 + (ns - 1) * PI / 2)
-        L2n = -x + (-3 * PI / 4 + (ns + 1) * PI / 2)
-        tn = np.full(x.shape, ns, dtype=np.int64)
-        tn = np.where((y > L1n + eps) & (y <= L2n + eps), (ns + 3) % 4, tn)
-        tn = np.where((y >= L1n - eps) & (y > L2n + eps), (ns + 2) % 4, tn)
-        tn = np.where((y < L1n - eps) & (y >= L2n - eps), (ns + 1) % 4, tn)
+        at = np.flatnonzero(north)
+        xn, yn = x.take(at), y.take(at)
+        L1 = xn - (-3 * PI / 4 + (ns - 1) * PI / 2)
+        L2 = -xn + (-3 * PI / 4 + (ns + 1) * PI / 2)
+        t = np.full(at.shape, ns, dtype=np.int64)
+        t[(yn > L1 + eps) & (yn <= L2 + eps)] = (ns + 3) % 4
+        t[(yn >= L1 - eps) & (yn > L2 + eps)] = (ns + 2) % 4
+        t[(yn < L1 - eps) & (yn >= L2 - eps)] = (ns + 1) % 4
+        tri[at] = t
         # South polar square (pj_rhealpix.py:247-256).
-        L1s = x - (-3 * PI / 4 + (ss + 1) * PI / 2)
-        L2s = -x + (-3 * PI / 4 + (ss - 1) * PI / 2)
-        ts = np.full(x.shape, ss, dtype=np.int64)
-        ts = np.where((y >= L1s - eps) & (y < L2s - eps), (ss + 3) % 4, ts)
-        ts = np.where((y < L1s - eps) & (y <= L2s + eps), (ss + 2) % 4, ts)
-        ts = np.where((y <= L1s + eps) & (y > L2s + eps), (ss + 1) % 4, ts)
-        tri = np.where(north, tn, tri)
-        tri = np.where(south, ts, tri)
+        at = np.flatnonzero(south)
+        xs, ys = x.take(at), y.take(at)
+        L1 = xs - (-3 * PI / 4 + (ss + 1) * PI / 2)
+        L2 = -xs + (-3 * PI / 4 + (ss - 1) * PI / 2)
+        t = np.full(at.shape, ss, dtype=np.int64)
+        t[(ys >= L1 - eps) & (ys < L2 - eps)] = (ss + 3) % 4
+        t[(ys < L1 - eps) & (ys <= L2 + eps)] = (ss + 2) % 4
+        t[(ys <= L1 + eps) & (ys > L2 + eps)] = (ss + 1) % 4
+        tri[at] = t
     return tri, region
 
 

@@ -102,6 +102,84 @@ def parent(u: np.ndarray, res: int) -> np.ndarray:
     return (u & keep) | np.uint64(res)
 
 
+# Dense tile folds count into one slot per tile rank: 6 * 9**res slots,
+# 354,294 (2.8 MB as int64) at the cap.
+MAX_TILE_RES = 5
+MAX_TILE_RANKS = 6 * 9**MAX_TILE_RES
+_RANK_BYTES = (MAX_TILE_RES + 2) // 2  # nibble pairs in face + MAX_TILE_RES digits
+_NOT_A_CELL = 1 << 40  # a byte entry past every rank: some nibble is >= 9
+
+
+def _rank_table() -> np.ndarray:
+    """int64[_RANK_BYTES, 256]: row k maps a byte holding two nibbles
+    (hi, lo) to (9 * hi + lo) * 81**k, or to _NOT_A_CELL when either
+    nibble is >= 9."""
+    b = np.arange(256, dtype=np.int64)
+    hi, lo = b >> 4, b & 0xF
+    scale = 81 ** np.arange(_RANK_BYTES, dtype=np.int64)[:, None]
+    t = np.where((hi < 9) & (lo < 9), (9 * hi + lo) * scale, _NOT_A_CELL)
+    t.flags.writeable = False
+    return t
+
+
+def _digit_table() -> np.ndarray:
+    """uint64[9**4]: entry v holds v's four base-9 digits, one per
+    nibble, least significant digit in the lowest nibble."""
+    v = np.arange(9**4, dtype=np.int64)
+    t = np.zeros_like(v)
+    for j in range(4):
+        t |= (v // 9**j % 9) << (4 * j)
+    t = t.astype(np.uint64)
+    t.flags.writeable = False
+    return t
+
+
+_RANK_TABLE = _rank_table()
+_DIGIT_TABLE = _digit_table()
+
+
+def num_tile_ranks(res: int) -> int:
+    """6 * 9**res, the tile ranks at ``res``; ValueError outside
+    0..MAX_TILE_RES."""
+    if not 0 <= res <= MAX_TILE_RES:
+        raise ValueError(
+            f"tile resolution {res} outside 0..{MAX_TILE_RES} "
+            f"(a dense tile fold holds at most {MAX_TILE_RANKS} ranks)"
+        )
+    return 6 * 9**res
+
+
+def tile_rank(u: np.ndarray, res: int) -> np.ndarray:
+    """Rank of each cell's res-``res`` prefix among the 6 * 9**res
+    tiles: the base-9 number whose digits are the face and the first
+    ``res`` digits, so at one resolution rank order is packed (SUID)
+    order.  int64 in [0, 6 * 9**res).  One table lookup per nibble
+    pair.  Raises ValueError past MAX_TILE_RES and on a prefix that is
+    not a cell (face >= 6 or a digit >= 9, e.g. ``index.INVALID``)."""
+    k = num_tile_ranks(res)
+    u = np.asarray(u, dtype=np.uint64)
+    s = u.view(np.int64)
+    shift = 60 - 4 * res  # the prefix's lowest nibble
+    rank = _RANK_TABLE[0].take((s >> shift) & 0xFF)
+    for i in range(1, (res + 2) // 2):
+        rank += _RANK_TABLE[i].take((s >> (shift + 8 * i)) & 0xFF)
+    if rank.size and int(rank.max()) >= k:
+        bad = int(u[np.argmax(rank >= k)])
+        raise ValueError(f"{bad:#018x} has no res-{res} tile: not a cell prefix")
+    return rank
+
+
+def tile_from_rank(rank: np.ndarray, res: int) -> np.ndarray:
+    """Inverse of tile_rank: int ranks -> packed res-``res`` tiles."""
+    k = num_tile_ranks(res)
+    rank = np.asarray(rank, dtype=np.int64)
+    if rank.size and (int(rank.min()) < 0 or int(rank.max()) >= k):
+        raise ValueError(f"tile rank outside [0, {k}) at resolution {res}")
+    hi = rank // 9**4  # < 9**4 too, as rank < 9**(1 + MAX_TILE_RES)
+    nibbles = (_DIGIT_TABLE.take(hi) << np.uint64(16)) | _DIGIT_TABLE.take(rank - hi * 9**4)
+    return (nibbles << np.uint64(60 - 4 * res)) | np.uint64(res)
+
+
 def is_subcell(child: np.ndarray, ancestor: np.ndarray) -> np.ndarray:
     """Vectorized prefix test (cell.py:437-454): child's SUID starts
     with ancestor's SUID (and child resolution >= ancestor's)."""

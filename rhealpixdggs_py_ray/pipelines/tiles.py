@@ -8,7 +8,11 @@ priori by the SUID digit pattern, cell.py:1008-1059) onto single
 reducers.  Aggregation is therefore staged:
 
 1. **Combiner** inside ``map_batches``: one partial row per tile per
-   batch (10^2-10^4x row reduction before any shuffle).
+   batch (10^2-10^4x row reduction before any shuffle).  It is a dense
+   fold with no sort: ``su.tile_rank`` numbers the 6 * 9**k tiles and
+   one ``bincount`` counts them, so tile resolutions are capped at
+   ``su.MAX_TILE_RES`` (5: 354,294 slots), and a row that holds no
+   cell (``index.INVALID``) raises ValueError here.
 2. **Salted merge** ``groupby([tile, salt])``: partials of a hot tile
    carry a deterministic salt (derived from the batch's phash mix), so
    even a tile holding most of the data merges on S reducers, not one.
@@ -31,9 +35,14 @@ from rhealpixdggs_py_ray.core import suid as su
 
 
 class _TileCombiner:
-    """Per-batch partial aggregation: (tile_u64, salt, n_partial)."""
+    """Per-batch partial aggregation: (tile_u64, salt, n_partial), one
+    row per tile present in the batch, in tile order.  A dense fold:
+    each row's ``su.tile_rank`` indexes a 6 * 9**tile_res vector of
+    counts and salts, so no row is sorted.  ValueError past
+    ``su.MAX_TILE_RES`` and on a row that is not a cell."""
 
     def __init__(self, tile_res: int, salt_bits: int, cell_col: str, salt_col: str | None):
+        self.n_ranks = su.num_tile_ranks(tile_res)
         self.tile_res = tile_res
         self.salt_mask = (1 << salt_bits) - 1
         self.cell_col = cell_col
@@ -41,29 +50,24 @@ class _TileCombiner:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         u = batch[self.cell_col].to_numpy(zero_copy_only=False)
-        tile = su.parent(u, self.tile_res)
-        order = np.argsort(tile, kind="stable")
-        t_s = tile[order]
-        change = np.flatnonzero(np.diff(t_s.view(np.int64)) != 0)
-        starts = np.concatenate([[0], change + 1])
-        ends = np.concatenate([change + 1, [len(t_s)]])
-        counts = (ends - starts).astype(np.int64)
-        out_tile = t_s[starts]
+        rank = su.tile_rank(u, self.tile_res)
+        counts = np.bincount(rank, minlength=self.n_ranks)
+        hit = np.flatnonzero(counts)
         if self.salt_col is not None and self.salt_mask:
-            # Deterministic per-(tile, batch) salt: xor-fold the group's
+            # Deterministic per-(tile, batch) salt: xor-fold the tile's
             # phashes so a hot tile's partials spread over 2**salt_bits
             # merge keys instead of one.
-            ph = batch[self.salt_col].to_numpy(zero_copy_only=False).astype(np.int64)[order]
-            cum = np.bitwise_xor.accumulate(ph)
-            prev = np.where(starts > 0, cum[np.maximum(starts - 1, 0)], 0)
-            salts = (cum[ends - 1] ^ prev) & self.salt_mask
+            ph = batch[self.salt_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+            salts = np.zeros(self.n_ranks, dtype=np.int64)
+            np.bitwise_xor.at(salts, rank, ph & self.salt_mask)
+            salts = salts[hit]
         else:
-            salts = np.zeros(len(out_tile), dtype=np.int64)
+            salts = np.zeros(len(hit), dtype=np.int64)
         return pa.table(
             {
-                "tile_u64": pa.array(out_tile, type=pa.uint64()),
+                "tile_u64": pa.array(su.tile_from_rank(hit, self.tile_res), type=pa.uint64()),
                 "salt": pa.array(salts, type=pa.int64()),
-                "n_partial": pa.array(counts, type=pa.int64()),
+                "n_partial": pa.array(counts[hit], type=pa.int64()),
             }
         )
 

@@ -2,15 +2,17 @@
 
 Pins SHA-256 digests of the output bytes of ``index.cell_from_point``
 (res 0-14, planar and lon/lat), ``projection.forward``/``inverse``,
-``index.shape_of`` (every cell at res 0-5), ``cover._east_west_vec``
-(every non-cap cell at res 1-4) and ``wrappers.polyfill_u64`` (res 0-5,
-two boxes), over seeded points plus seam, pole, face-edge,
-``asin(2/3)``-band and off-grid points.  A few dozen literal rows sit
+``index.shape_of`` (every cell at res 0-5), ``index.centroid`` (lon/lat,
+every cell at res 0-4), ``cover._east_west_vec`` (every non-cap cell at
+res 1-4) and ``wrappers.polyfill_u64`` (res 0-5, two boxes), over
+seeded points plus seam, pole, face-edge, ``asin(2/3)``-band and
+off-grid points.  A few dozen literal rows sit
 next to the digests so that a failure also shows a readable diff.
 
 Needs neither the reference library nor Ray.  The goldens were taken
-from the engine before its branch-local kernel rewrite (CHANGES.md
-names the commit); an optimisation must keep every digest.  Only an
+from the engine before its branch-local kernel rewrite, the centroid
+digests before ``centroid`` dropped its second ``nucleus`` call on quad
+cells (CHANGES.md names both commits); an optimisation must keep every digest.  Only an
 intended output change may regenerate them:
 
     python tests/test_kernel_goldens.py > goldens.txt
@@ -59,6 +61,7 @@ CONFIGS = {
 N_SEEDED = 12_000
 POINT_RES = range(15)
 SHAPE_RES = range(6)
+CENTROID_RES = range(5)
 WALK_RES = range(1, 5)
 COVER_RES = range(6)
 
@@ -168,6 +171,14 @@ def _shape_digests():
             yield f"shape_of/{name}/r{r}", _digest(idx.shape_of(cfg, all_cells(cfg.N_side, r)))
 
 
+def _centroid_digests():
+    for name in ("WGS84_003", "WGS84_002"):
+        cfg = CONFIGS[name]
+        for r in CENTROID_RES:
+            u = all_cells(cfg.N_side, r)
+            yield f"centroid/{name}/r{r}", _digest(*idx.centroid(cfg, u, plane=False))
+
+
 def _east_west_digests():
     for name in ("WGS84_003", "WGS84_002", "WGS84_123", "WGS84_003_RADIANS"):
         cfg = CONFIGS[name]
@@ -186,6 +197,7 @@ def _polyfill_digests():
 
 SECTIONS = {
     "cell_from_point": _cell_digests,
+    "centroid": _centroid_digests,
     "projection": _projection_digests,
     "shape_of": _shape_digests,
     "east_west": _east_west_digests,
@@ -194,6 +206,7 @@ SECTIONS = {
 # Golden key prefixes each section yields.
 _SECTION_KEYS = {
     "cell_from_point": ("cell_from_point",),
+    "centroid": ("centroid",),
     "projection": ("forward", "inverse"),
     "shape_of": ("shape_of",),
     "east_west": ("east_west",),
@@ -454,6 +467,16 @@ GOLDEN: dict[str, str] = {
     'cell_from_point/FLAT_003/plane/r12': '0cb1bb81e3edeb9baa3a5cbb1730f991b7166beb5f7e603427cb491c1f8d0b37',
     'cell_from_point/FLAT_003/plane/r13': '4be14529f077caad865ea6ad5c3053531edcdf9f4e3450320726ab0130157840',
     'cell_from_point/FLAT_003/plane/r14': '80550886f5692fcdd723f4e953c8c92f1070261453a19e907d86d83ffc328b91',
+    'centroid/WGS84_003/r0': '4bb15f2c1a916f5a7fc81db9cb2bd16412942dc41a3260fe9734fead16550568',
+    'centroid/WGS84_003/r1': '4027df6be9a68a8fffe2c51fbf78005f0fa1f4f1dccc7c06198810764d9187f3',
+    'centroid/WGS84_003/r2': '2f62f5f5ee1d3f21a4e354cfc5a4fee5d20b0aba99676958fcc7a4c3de73af3e',
+    'centroid/WGS84_003/r3': 'da8832820cbe7204967f8446792e33e4e8ccb3cff08e63530cc9d4c72068da8f',
+    'centroid/WGS84_003/r4': '0ba4af2b3095cf30343d5e6a2469d031901d7a8dd18a34e66b96875275ee8a47',
+    'centroid/WGS84_002/r0': '4bb15f2c1a916f5a7fc81db9cb2bd16412942dc41a3260fe9734fead16550568',
+    'centroid/WGS84_002/r1': '3d28e495eb8a3404d7b9d7a81c0916a79123c3e643163b66750939d3266660d0',
+    'centroid/WGS84_002/r2': '94e40b159634a9c8665312dc3bb9cc461a1fc65dd4c8b4b5b43afcb83b846afa',
+    'centroid/WGS84_002/r3': 'e270e5bc54edfd5b2a9f930b7fa0e3e47ecd2186f3494db86830eedf109f361c',
+    'centroid/WGS84_002/r4': '014c614c24d83246d53a4c59d12bbbddbd49736e4870c8add3ad1bf3664f8417',
     'east_west/WGS84_003/r1': '7b0782cf93e238a917273c38f5c61576ed97987fef8882ac74a9c930d7ed4098',
     'east_west/WGS84_003/r2': '8df9a9c3f8a41ebc1b6d282f9f8e06e6761a5692afad908dad94da508205e0d0',
     'east_west/WGS84_003/r3': '43b3c806792cfe13346af4c779f643670f74ad1f37f1b0c42f76df36415273f9',
