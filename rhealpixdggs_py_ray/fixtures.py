@@ -93,7 +93,8 @@ def encode_png(pix: np.ndarray) -> bytes:
 
 def decode_png(data: bytes) -> np.ndarray:
     """Decode PNGs produced by encode_png (filter-0 8-bit RGB only)."""
-    assert data[:8] == b"\x89PNG\r\n\x1a\n", "not a PNG"
+    if data[:8] != b"\x89PNG\r\n\x1a\n":
+        raise ValueError("not a PNG")
     pos = 8
     w = h = None
     idat = b""
@@ -104,7 +105,8 @@ def decode_png(data: bytes) -> np.ndarray:
         pos += 12 + length
         if tag == b"IHDR":
             w, h, depth, ctype = struct.unpack(">IIBB", payload[:10])
-            assert depth == 8 and ctype == 2, "unsupported PNG layout"
+            if not (depth == 8 and ctype == 2):
+                raise ValueError("unsupported PNG layout")
         elif tag == b"IDAT":
             idat += payload
         elif tag == b"IEND":
@@ -112,7 +114,8 @@ def decode_png(data: bytes) -> np.ndarray:
     raw = zlib.decompress(idat)
     stride = 1 + w * 3
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, stride)
-    assert not arr[:, 0].any(), "only filter-0 rows supported"
+    if arr[:, 0].any():
+        raise ValueError("only filter-0 rows supported")
     return np.ascontiguousarray(arr[:, 1:]).reshape(h, w, 3)
 
 

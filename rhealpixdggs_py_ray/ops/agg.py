@@ -1,13 +1,25 @@
-"""Scale-friendly aggregation helpers.
+"""Scale-friendly aggregation helpers: exact per-key int64 folds of a
+uint64 key column, with two reduce sides.
 
 ray.data's sort-based ``groupby(...).aggregate(...)`` measured ~18 s
 for 48k rows spread over ~40k groups (the per-group overhead dominates
-long before data size matters).  For high-cardinality keys the engine
-therefore uses: per-batch vectorized combine (np.unique) -> hash-bucket
-column -> groupby over a HANDFUL of buckets -> vectorized combine per
-bucket.  Exact same results, one shuffle, no tiny groups.  The pattern
-is also the 10^12-row shape: buckets are the shuffle partitions and
-each reducer combines its bucket vectorized.
+long before data size matters).  Both sides therefore start with the
+same per-batch vectorized combine (np.unique + ``ufunc.at``) and
+differ only in where the partials meet:
+
+- Dataset side (``sum_by_u64_key`` / ``max_by_u64_key``): hash-bucket
+  column -> groupby over a HANDFUL of buckets -> vectorized combine per
+  bucket.  One shuffle, no tiny groups, and the result stays a Dataset.
+  Use it when the fold feeds further Dataset operators (a join, a
+  second exchange, a distributed map); it is also the 10^12-row shape:
+  buckets are the shuffle partitions and each reducer combines its
+  bucket vectorized.
+- Driver side (``sum_to_driver`` / ``max_to_driver``): the per-batch
+  partials stream to the driver and are compacted there as they
+  arrive; the result is a pair of numpy arrays.  Use it when only the
+  driver reads the result: an exchange in front of a driver gather
+  does work the driver then does again.  The distinct-key count is
+  bounded by ``ops/graph.DRIVER_EDGE_CAP``.
 """
 
 from __future__ import annotations
@@ -31,23 +43,29 @@ def hash_bucket_u64(ids: np.ndarray, n_buckets: int) -> np.ndarray:
     )
 
 
+def _fold_u64(k: np.ndarray, v: np.ndarray, init, at):
+    """(distinct keys ascending, per-key int64 fold of ``v``): one
+    np.unique combine.  ``at`` is the ufunc ``.at`` (np.add.at,
+    np.maximum.at) and ``init`` its identity."""
+    uq, inv = np.unique(k, return_inverse=True)
+    s = np.full(len(uq), init, dtype=np.int64)
+    at(s, inv, v)
+    return uq, s
+
+
+def _fold_columns(t: pa.Table, key_col, val_col, init, at):
+    return _fold_u64(
+        t[key_col].to_numpy(zero_copy_only=False).astype(np.uint64),
+        t[val_col].to_numpy(zero_copy_only=False), init, at)
+
+
 def _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets, init, at):
-    """Per-key int64 fold of a uint64 key column: per-batch np.unique
-    combine, hash buckets, one bucket exchange, per-bucket combine.
-    ``at`` is the ufunc ``.at`` (np.add.at, np.maximum.at) and
-    ``init`` its identity."""
+    """Per-key int64 fold of a uint64 key column: per-batch combine,
+    hash buckets, one bucket exchange, per-bucket combine."""
     n_buckets = sizing.exchange_buckets(n_buckets)
 
-    def fold(k, v):
-        uq, inv = np.unique(k, return_inverse=True)
-        s = np.full(len(uq), init, dtype=np.int64)
-        at(s, inv, v)
-        return uq, s
-
     def combine_batch(batch: pa.Table) -> pa.Table:
-        uq, s = fold(
-            batch[key_col].to_numpy(zero_copy_only=False).astype(np.uint64),
-            batch[val_col].to_numpy(zero_copy_only=False))
+        uq, s = _fold_columns(batch, key_col, val_col, init, at)
         return pa.table(
             {key_col: pa.array(uq, type=pa.uint64()),
              out_val: pa.array(s),
@@ -58,9 +76,7 @@ def _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets, init, at):
         if g.num_rows == 0 or key_col not in g.column_names:
             return pa.table({key_col: pa.array([], type=pa.uint64()),
                              out_val: pa.array([], type=pa.int64())})
-        uq, s = fold(
-            g[key_col].to_numpy(zero_copy_only=False).astype(np.uint64),
-            g[out_val].to_numpy(zero_copy_only=False))
+        uq, s = _fold_columns(g, key_col, out_val, init, at)
         return pa.table({key_col: pa.array(uq), out_val: pa.array(s)})
 
     partial = ds.map_batches(combine_batch, batch_format="pyarrow", zero_copy_batch=True)
@@ -81,6 +97,68 @@ def max_by_u64_key(ds, key_col: str, val_col: str, out_val: str,
     register folds: HLL, per-key peaks).  Returns (key_col, out_val)."""
     return _fold_by_u64_key(ds, key_col, val_col, out_val, n_buckets,
                             np.iinfo(np.int64).min, np.maximum.at)
+
+
+# Pending partial rows the driver fold holds before compacting: it
+# compacts once they reach max(this, distinct keys so far), so driver
+# memory stays a small multiple of the distinct keys.
+_COMPACT_ROWS = 1 << 16
+
+
+def _fold_to_driver(ds, key_col, val_col, init, at, what):
+    """Driver-side fold: per-batch combine in the map tasks, partials
+    streamed with ``iter_batches`` and compacted on arrival.  Returns
+    (keys uint64 ascending, values int64); empty arrays on an empty
+    input.  Raises DriverCapExceeded past DRIVER_EDGE_CAP keys."""
+    # ops/graph imports this module: import at call time
+    from rhealpixdggs_py_ray.ops.graph import check_driver_cap
+
+    def combine_batch(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return pa.table({"k": pa.array([], type=pa.uint64()),
+                             "v": pa.array([], type=pa.int64())})
+        uq, s = _fold_columns(batch, key_col, val_col, init, at)
+        return pa.table({"k": pa.array(uq, type=pa.uint64()),
+                         "v": pa.array(s)})
+
+    keys = np.zeros(0, dtype=np.uint64)
+    vals = np.zeros(0, dtype=np.int64)
+    ks, vs, pending = [], [], 0
+
+    def compact():
+        k, v = _fold_u64(np.concatenate([keys, *ks]),
+                         np.concatenate([vals, *vs]), init, at)
+        check_driver_cap(len(k), what)
+        return k, v
+
+    partials = ds.map_batches(combine_batch, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+        if not b.num_rows:
+            continue
+        ks.append(b["k"].to_numpy(zero_copy_only=False))
+        vs.append(b["v"].to_numpy(zero_copy_only=False))
+        pending += b.num_rows
+        if pending >= max(_COMPACT_ROWS, len(keys)):
+            keys, vals = compact()
+            ks, vs, pending = [], [], 0
+    if ks:
+        keys, vals = compact()
+    return keys, vals
+
+
+def sum_to_driver(ds, key_col: str, val_col: str):
+    """Exact per-key int64 sums of a uint64 key column, folded on the
+    driver: (keys uint64 ascending, sums int64)."""
+    return _fold_to_driver(ds, key_col, val_col, 0, np.add.at,
+                           f"sum_to_driver({key_col})")
+
+
+def max_to_driver(ds, key_col: str, val_col: str):
+    """Exact per-key int64 maxima of a uint64 key column, folded on the
+    driver: (keys uint64 ascending, maxima int64)."""
+    return _fold_to_driver(ds, key_col, val_col, np.iinfo(np.int64).min,
+                           np.maximum.at, f"max_to_driver({key_col})")
 
 
 def pareto_front_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:

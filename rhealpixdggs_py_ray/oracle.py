@@ -915,7 +915,8 @@ def polyfill_polar_sql(
 
     from rhealpixdggs_py_ray.core import projection as _prj
 
-    assert face in (0, 5)
+    if face not in (0, 5):
+        raise AssertionError(f"polyfill_polar_sql: face {face} is not a cap (0 or 5)")
     n = cfg.N_side**resolution
     w = cfg.cell_width(resolution)
     ul = cfg.ul_vertex[face]

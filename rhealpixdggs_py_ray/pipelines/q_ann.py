@@ -1434,7 +1434,8 @@ def q_ann_ivf_ckpt(sf_dir: str):
     out = ann.ann_topk_ivf_checkpointed(
         f"{sf_dir}/embeddings.parquet", emb, emb2, out_root)
     out = out.materialize()  # bounded: n_queries * k rows
-    assert len(_glob.glob(f"{out_root}/part=*.manifest.json")) == 2
+    if not len(_glob.glob(f"{out_root}/part=*.manifest.json")) == 2:
+        raise AssertionError("ann_ivf_ckpt: expected 2 published part manifests")
     shutil.rmtree(out_root, ignore_errors=True)
     return out
 
@@ -1626,7 +1627,7 @@ def q_elbow_point(sf_dir: str):
     argmax ties to the smallest index.  Per-user counts ride one u64
     fold; the curve resolve is bounded by the user count.
     Output (elbow_rank, elbow_count, n_users, score)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id"], blocks=4)
 
@@ -1638,15 +1639,10 @@ def q_elbow_point(sf_dir: str):
             "n": pa.array(cnt.astype(np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    _, c = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "user_id", "n", "n", n_buckets=4,
-    )
-    cnts = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            cnts.append(b["n"].to_numpy(zero_copy_only=False))
-    c = np.sort(np.concatenate(cnts))[::-1].astype(np.int64)
+        "user_id", "n")
+    c = np.sort(c)[::-1]
     k = len(c)
     i = np.arange(1, k + 1, dtype=np.int64)
     score = np.abs((k - 1) * (c - c[0]) - (i - 1) * (c[-1] - c[0]))

@@ -612,7 +612,8 @@ def q_spectral_partition(sf_dir: str):
         mm = tdiv_vec(np.array([m], dtype=np.int64), n)[0]
         y = y - mm
         mx = int(np.abs(y).max())
-        assert mx > 0, "degenerate spectral iterate"
+        if not mx > 0:
+            raise AssertionError("degenerate spectral iterate")
         x = tdiv_vec(y * SPEC_SCALE, mx)
     return pa.table({
         "user_id": pa.array(nodes),
@@ -685,7 +686,7 @@ def q_influence_spread(sf_dir: str):
     (<= users x 486 rows; the distributed fallback is one exchange per
     day).  Output (user_id, inf_day) for reached users."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id", "ts"],
                blocks=4)
@@ -706,23 +707,14 @@ def q_influence_spread(sf_dir: str):
             "one": pa.array(np.ones(len(key), dtype=np.int64)),
         })
 
-    dvis = sum_by_u64_key(
+    key, _ = sum_to_driver(
         ds.map_batches(visits, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "m", n_buckets=8,
-    )
-    ks = []
-    for b in dvis.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            ks.append(b["key"].to_numpy(zero_copy_only=False)
-                      .astype(np.uint64))
-    key = np.concatenate(ks)
-    uid = (key >> np.uint64(32)).astype(np.int64)
+        "key", "one")
     td = (key & np.uint64((1 << 32) - 1)).astype(np.int64)  # tile<<15|day
     day = td & ((1 << 15) - 1)
     d0, d1 = int(day.min()), int(day.max())
-    users = np.unique(uid)
-    uidx = {int(u_): i for i, u_ in enumerate(users)}
-    ui = np.array([uidx[int(u_)] for u_ in uid], dtype=np.int64)
+    users, ui = np.unique((key >> np.uint64(32)).astype(np.int64),
+                          return_inverse=True)
     inf_day = np.full(len(users), -1, dtype=np.int64)
     inf_day[users % SPREAD_SEED_MOD == 0] = d0
     for d in range(d0 + 1, d1 + 1):
@@ -1149,10 +1141,15 @@ def q_adamic_adar(sf_dir: str):
     under the 8M-edge cc.py cap.  Output (user_a, user_b, aa_q)."""
     import math
 
+    from rhealpixdggs_py_ray.ops import graph as _graph
+
     ua, ub = _copresence_edge_ends(sf_dir, "adamic_adar")
     nodes = np.unique(np.concatenate([ua, ub]))
     Nn = len(nodes)
-    assert Nn <= 20000
+    if Nn > _graph.DRIVER_NODE_CAP:  # bounds the dense Nn x Nn matrix
+        raise DriverCapExceeded(
+            f"adamic_adar: {Nn:,} nodes exceed the driver node cap "
+            f"{_graph.DRIVER_NODE_CAP:,}")
     cu = np.searchsorted(nodes, ua)
     cv = np.searchsorted(nodes, ub)
     A = np.zeros((Nn, Nn), dtype=np.float64)
@@ -1492,10 +1489,15 @@ def q_zero_support_edges(sf_dir: str):
     for information flow: counted with the packed-bitset AND/popcount
     (the k_truss machinery) under the driver cap.
     Output (n_edges, n_zero_support, frac_e6)."""
+    from rhealpixdggs_py_ray.ops import graph as _graph
+
     ua, ub = _copresence_edge_ends(sf_dir, "zero_support_edges")
     nodes = np.unique(np.concatenate([ua, ub]))
     Nn = len(nodes)
-    assert Nn <= 20000
+    if Nn > _graph.DRIVER_NODE_CAP:  # bounds the Nn x Nn/64 bitset
+        raise DriverCapExceeded(
+            f"zero_support_edges: {Nn:,} nodes exceed the driver node cap "
+            f"{_graph.DRIVER_NODE_CAP:,}")
     cu = np.searchsorted(nodes, ua)
     cv = np.searchsorted(nodes, ub)
     Wd = (Nn + 63) // 64

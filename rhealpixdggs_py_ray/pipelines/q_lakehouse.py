@@ -233,7 +233,8 @@ def q_resumable_tiling(sf_dir: str):
     # resumability: a second run must skip the completed partitions
     before = run.completed_partitions()
     run.run(parts, pipeline_fn)
-    assert run.completed_partitions().keys() == before.keys()
+    if not run.completed_partitions().keys() == before.keys():
+        raise AssertionError("resumable_tiling: resume changed the completed partitions")
     # Final merge: per-partition tile partials are bounded by the grid
     # cardinality at TILE_RES (x P partitions) — small enough to combine
     # on the driver; a groupby exchange here costs ~1s fixed for ~1k rows.
@@ -811,7 +812,7 @@ def q_range_shards(sf_dir: str):
     mirror is a plain string-ordered window cumsum.  The planning table
     is bounded by the grid at res K, never the corpus.  Output per
     shard: (shard, start_cell, end_cell, n_cells, n_points)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = indexed_events(sf_dir, resolution=SHARDS_RES)
 
@@ -822,15 +823,10 @@ def q_range_shards(sf_dir: str):
             "one": pa.array(np.ones(len(u), dtype=np.int64)),
         })
 
-    counts = sum_by_u64_key(
+    u, n = sum_to_driver(  # bounded by the res-K grid
         ds.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
-        "cell_u64", "one", "n",
-    ).to_pandas()  # bounded by the res-K grid
-    u = counts["cell_u64"].to_numpy().astype(np.uint64)
-    n = counts["n"].to_numpy().astype(np.int64)
-    order = np.argsort(u)
-    cid = su.to_string_fixed(u[order], SHARDS_RES).to_numpy(zero_copy_only=False)
-    n = n[order]
+        "cell_u64", "one")
+    cid = su.to_string_fixed(u, SHARDS_RES).to_numpy(zero_copy_only=False)
     total = int(n.sum())
     cum_before = np.cumsum(n) - n
     shard = (cum_before * SHARDS_S) // total
@@ -1343,7 +1339,7 @@ def q_source_centroid_shift(sf_dir: str):
     rationals: d2 = sum_dim (sa*nb - sb*na)^2 // (na*nb)^2 (in milli^2
     units, SQL HUGEINT mirror).  Output (source_a, source_b, n_a, n_b,
     d2_milli2)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
     from rhealpixdggs_py_ray.ops.dedup import _emb_matrix
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "source"])
@@ -1415,19 +1411,14 @@ def q_source_centroid_shift(sf_dir: str):
             "v": pa.array(np.concatenate(vals)),
         })
 
-    folded = sum_by_u64_key(
+    keys, sums = sum_to_driver(
         docs.map_batches(tag_docs, batch_format="pyarrow",
                          zero_copy_batch=True)
         .union(emb.map_batches(tag_emb, batch_format="pyarrow",
                                zero_copy_batch=True))
         .groupby("bucket").map_groups(attach, batch_format="pyarrow"),
-        "key", "v", "s", n_buckets=4,
-    )
-    S: dict[int, int] = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["s"].to_pylist()):
-                S[int(k)] = S.get(int(k), 0) + int(v)
+        "key", "v")
+    S = dict(zip(keys.tolist(), sums.tolist()))
     rows = []
     for a in range(len(srcs)):
         na = S.get((1 << 20) | a, 0)
@@ -1506,7 +1497,7 @@ def q_quarantine_sink(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
     qdir = f"/tmp/graft_quarantine_{tag}"
@@ -1539,15 +1530,12 @@ def q_quarantine_sink(sf_dir: str):
             "one": pa.array(np.ones(int((~bad).sum()), dtype=np.int64)),
         })
 
-    good = sum_by_u64_key(
+    # the driver fold consumes every batch: barrier, all quarantine
+    # files are written before the listdir below
+    _, good = sum_to_driver(
         ds.map_batches(split, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "n", n_buckets=2,
-    ).materialize()  # barrier: quarantine files are all written now
-    n_good = 0
-    for b in good.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            n_good += int(b["n"].to_numpy(zero_copy_only=False).sum())
-    counts = {"good": n_good, "suspect_k": 0, "zero_value": 0}
+        "key", "one")
+    counts = {"good": int(good.sum()), "suspect_k": 0, "zero_value": 0}
     files = [os.path.join(qdir, f) for f in os.listdir(qdir)]
     if files:
         qds = ray.data.read_parquet(files)

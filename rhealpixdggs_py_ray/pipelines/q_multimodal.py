@@ -1925,7 +1925,7 @@ def q_audio_neardup(sf_dir: str):
     diff from the generative formula.  Output (audio_a, audio_b,
     n_diff)."""
     from rhealpixdggs_py_ray.fixtures import write_audio_table
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
 
     write_audio_table(AUDIO_DIR, AUDIO_N)
     ds = ray.data.read_parquet(
@@ -1981,17 +1981,11 @@ def q_audio_neardup(sf_dir: str):
         return pa.table({"pk": pa.array(pk, type=pa.uint64()),
                          "one": pa.array(np.ones(len(pk), dtype=np.int64))})
 
-    cand = sum_by_u64_key(
+    # candidate pairs ascending: (audio_a, audio_b) lexicographic
+    pk, _ = sum_to_driver(
         ds.map_batches(bands, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket").map_groups(pairs, batch_format="pyarrow"),
-        "pk", "one", "nb", n_buckets=nb)
-
-    pk_l = []
-    for b in cand.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            pk_l.append(b["pk"].to_numpy(zero_copy_only=False)
-                        .astype(np.uint64))
-    pk = np.concatenate(pk_l) if pk_l else np.array([], dtype=np.uint64)
+        "pk", "one")
     a = (pk >> np.uint64(32)).astype(np.int64)
     bb = (pk & np.uint64((1 << 32) - 1)).astype(np.int64)
     need = np.unique(np.concatenate([a, bb])) if len(pk) else \
@@ -2024,12 +2018,10 @@ def q_audio_neardup(sf_dir: str):
             out_a.append(x)
             out_b.append(y)
             out_d.append(d)
-    order = np.lexsort((np.array(out_b), np.array(out_a))) \
-        if out_a else np.array([], dtype=np.int64)
     return pa.table({
-        "audio_a": pa.array(np.array(out_a, dtype=np.int64)[order]),
-        "audio_b": pa.array(np.array(out_b, dtype=np.int64)[order]),
-        "n_diff": pa.array(np.array(out_d, dtype=np.int64)[order]),
+        "audio_a": pa.array(np.array(out_a, dtype=np.int64)),
+        "audio_b": pa.array(np.array(out_b, dtype=np.int64)),
+        "n_diff": pa.array(np.array(out_d, dtype=np.int64)),
     })
 
 

@@ -1567,7 +1567,8 @@ def sql_interval() -> str:
     parts = []
     for i, (a, bb) in enumerate(INTERVAL_PAIRS):
         res = len(a) - 1
-        assert len(bb) - 1 == res, "fixture pairs share a resolution"
+        if not len(bb) - 1 == res:
+            raise AssertionError("fixture pairs share a resolution")
 
         def loi(s: str) -> str:
             f = f"(CASE substr('{s}', 1, 1) " + " ".join(
@@ -2966,7 +2967,8 @@ def q_morans_i(sf_dir: str):
             num += int((a * b).sum())
             w_pairs += a.size
     den = int((d * d).sum())
-    assert abs(num) < 2**63 and den < 2**63
+    if not (abs(num) < 2**63 and den < 2**63):
+        raise AssertionError("morans_i int64 headroom")
     return pa.table({
         "n_cells": pa.array([nc], type=pa.int64()),
         "sum_x": pa.array([sx], type=pa.int64()),
@@ -3897,7 +3899,7 @@ def q_adaptive_cover(sf_dir: str):
     one exchange); the selection runs on the counts table, which is
     bounded by the GRID size at max res (6*9^4 cells), not the corpus.
     Output (cell_id, res, n)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = indexed_events(sf_dir, resolution=ADAPT_MAX_RES)
 
@@ -3917,14 +3919,11 @@ def q_adaptive_cover(sf_dir: str):
             "one": pa.array(np.concatenate(ns)),
         })
 
-    counts_ds = sum_by_u64_key(
+    ku, n = sum_to_driver(  # bounded by grid size at max res, not by data
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "n",
-    ).to_pandas()  # bounded by grid size at max res, not by data
-    ku = counts_ds["key"].to_numpy().astype(np.uint64)
+        "key", "one")
     r = su.resolution_of(ku)
     t = su.to_string(ku)
-    n = counts_ds["n"].to_numpy().astype(np.int64)
     parent = np.array([x[:rr] if rr > 0 else "" for x, rr in zip(t, r)],
                       dtype=object)
     lut = dict(zip(t, n))
@@ -4709,7 +4708,7 @@ def q_coverage_gaps(sf_dir: str):
     the same exchange — no join operator, no second pass.  Output
     (cell_id, n_occupied_nbrs) sorted by cell_id."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key, sum_to_driver
 
     OCC_MARK = np.int64(-(1 << 40))
     k = DISSOLVE_RES
@@ -4746,22 +4745,11 @@ def q_coverage_gaps(sf_dir: str):
             "v": pa.array(np.concatenate(vs)),
         })
 
-    folded = sum_by_u64_key(
+    tk, s = sum_to_driver(
         occ.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True),
-        "tk", "v", "s", n_buckets=8)
-
-    keys_l, n_l = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        tk = b["tk"].to_numpy(zero_copy_only=False).astype(np.int64)
-        s = b["s"].to_numpy(zero_copy_only=False)
-        m = (s >= GAP_MIN_NBRS)  # occupied cells fold to s < 0
-        keys_l.append(tk[m])
-        n_l.append(s[m])
-    tk = (np.concatenate(keys_l) if keys_l
-          else np.array([], dtype=np.int64))
-    nn = np.concatenate(n_l) if n_l else np.array([], dtype=np.int64)
+        "tk", "v")
+    m = s >= GAP_MIN_NBRS  # occupied cells fold to s < 0
+    tk, nn = tk[m].astype(np.int64), s[m]
     u = u64_of_lattice(tk // W, tk % W, k)
     order = np.argsort(u)  # u64 order == cell_id order at one resolution
     return pa.table({

@@ -2001,7 +2001,8 @@ def q_mobility_entropy(sf_dir: str):
         np.add.at(term2, uinv3, qln(kc))
         ntrans = np.zeros(len(uu3), dtype=np.int64)
         np.add.at(ntrans, uinv3, kc)
-        assert (uu2 == uu3).all()
+        if not (uu2 == uu3).all():
+            raise AssertionError("mobility_entropy: user sets of the two folds differ")
         return pa.table({
             "user_id": pa.array(uu2),
             "n_trans": pa.array(ntrans),
@@ -4071,7 +4072,8 @@ def q_tile_affinity(sf_dir: str):
     smallest tile).  Output one row per user (user_id, tile_id,
     score_e6)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import (
+        hash_bucket_u64, sum_by_u64_key, sum_to_driver)
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id"],
                blocks=4)
@@ -4121,10 +4123,10 @@ def q_tile_affinity(sf_dir: str):
                          "one": pa.array(np.ones(len(uu),
                                                  dtype=np.int64))})
 
-    n_users = sum_by_u64_key(
+    n_users = len(sum_to_driver(
         ut.map_batches(uid_rows, batch_format="pyarrow",
                        zero_copy_batch=True),
-        "u", "one", "m", n_buckets=8).count()
+        "u", "one")[0])
     dref = ray.put((df, n_users))
 
     def bucketize(batch: pa.Table) -> pa.Table:
@@ -4210,7 +4212,7 @@ def q_tile_conversion(sf_dir: str):
     Omits tiles with neither views nor purchases (GROUP BY parity).
     Output (tile_id, n_views, n_purchases, cr_e6)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events",
                columns=["event_id", "event_type"], blocks=4)
@@ -4228,23 +4230,14 @@ def q_tile_conversion(sf_dir: str):
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    folded = sum_by_u64_key(
+    key, n = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "n", "n", n_buckets=8)
-    views: dict = {}
-    buys: dict = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        k = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = b["n"].to_numpy(zero_copy_only=False)
-        for ki, ni in zip(k.tolist(), n.tolist()):
-            (buys if ki % 2 else views)[ki // 2] = ni
-    tiles = sorted(set(views) | set(buys))
-    tid = su.to_string_fixed(
-        np.array(tiles, dtype=np.uint64) << np.uint64(52), TILE_RES)
-    nv = np.array([views.get(t, 0) for t in tiles], dtype=np.int64)
-    np_ = np.array([buys.get(t, 0) for t in tiles], dtype=np.int64)
+        "key", "n")
+    tiles, inv = np.unique(key // np.uint64(2), return_inverse=True)
+    vp = np.zeros((len(tiles), 2), dtype=np.int64)  # (views, purchases)
+    vp[inv, (key % np.uint64(2)).astype(np.int64)] = n
+    nv, np_ = vp.T
+    tid = su.to_string_fixed(tiles << np.uint64(52), TILE_RES)
     cr = np.where(nv > 0, np_ * 1_000_000 // np.maximum(nv, 1), -1)
     return pa.table({
         "tile_id": tid,
@@ -4288,7 +4281,7 @@ def q_tile_weekend_shift(sf_dir: str):
     Thursday).  Output (tile_id, n_weekday, n_weekend,
     shift_e6)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["event_id", "ts"], blocks=4)
 
@@ -4306,28 +4299,18 @@ def q_tile_weekend_shift(sf_dir: str):
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    wd: dict = {}
-    we: dict = {}
-    for b in sum_by_u64_key(
-            ds.map_batches(part, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            "key", "n", "n", n_buckets=8).iter_batches(
-                batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        k = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = b["n"].to_numpy(zero_copy_only=False)
-        for ki, ni in zip(k.tolist(), n.tolist()):
-            (we if ki % 2 else wd)[ki // 2] = ni
-    tiles = sorted(set(wd) | set(we))
-    nd = np.array([wd.get(t, 0) for t in tiles], dtype=np.int64)
-    nw = np.array([we.get(t, 0) for t in tiles], dtype=np.int64)
+    key, n = sum_to_driver(
+        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+        "key", "n")
+    tiles, inv = np.unique(key // np.uint64(2), return_inverse=True)
+    dw = np.zeros((len(tiles), 2), dtype=np.int64)  # (weekday, weekend)
+    dw[inv, (key % np.uint64(2)).astype(np.int64)] = n
+    nd, nw = dw.T
     g_num = int(nw.sum())
     g_tot = int((nd + nw).sum())
     g_share = g_num * 1_000_000 // g_tot if g_tot else 0
     share = nw * 1_000_000 // np.maximum(nd + nw, 1)
-    tid = su.to_string_fixed(
-        np.array(tiles, dtype=np.uint64) << np.uint64(52), TILE_RES)
+    tid = su.to_string_fixed(tiles << np.uint64(52), TILE_RES)
     return pa.table({
         "tile_id": tid,
         "n_weekday": pa.array(nd),
@@ -4372,7 +4355,7 @@ def q_tile_peak_hour(sf_dir: str):
     ties to the smallest hour — exact integers throughout.  Output
     (tile_id, peak_hour, n_at_peak, n_total)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["event_id", "ts"], blocks=4)
 
@@ -4389,36 +4372,20 @@ def q_tile_peak_hour(sf_dir: str):
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    acc: dict = {}
-    for b in sum_by_u64_key(
-            ds.map_batches(part, batch_format="pyarrow",
-                           zero_copy_batch=True),
-            "key", "n", "n", n_buckets=8).iter_batches(
-                batch_format="pyarrow"):
-        if not b.num_rows:
-            continue
-        for k, n in zip(b["key"].to_pylist(), b["n"].to_pylist()):
-            acc[k] = acc.get(k, 0) + n
-    keys = np.array(sorted(acc), dtype=np.uint64)
-    cnts = np.array([acc[int(k)] for k in keys], dtype=np.int64)
-    tiles = (keys // np.uint64(32)).astype(np.int64)
+    keys, cnts = sum_to_driver(
+        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+        "key", "n")
+    tiles = keys // np.uint64(32)
     hours = (keys % np.uint64(32)).astype(np.int64)
-    out = {k: [] for k in ("t", "h", "p", "n")}
-    for t in np.unique(tiles):
-        m = tiles == t
-        h, c = hours[m], cnts[m]
-        best = int(np.lexsort((h, -c))[0])
-        out["t"].append(int(t))
-        out["h"].append(int(h[best]))
-        out["p"].append(int(c[best]))
-        out["n"].append(int(c.sum()))
-    tid = su.to_string_fixed(
-        np.array(out["t"], dtype=np.uint64) << np.uint64(52), TILE_RES)
+    # keys ascend by tile, so each tile's rows start at the same index
+    # in key order and in (tile, -count, hour) order: its peak is first
+    t, start = np.unique(tiles, return_index=True)
+    best = np.lexsort((hours, -cnts, tiles))[start]
     return pa.table({
-        "tile_id": tid,
-        "peak_hour": pa.array(out["h"], type=pa.int64()),
-        "n_at_peak": pa.array(out["p"], type=pa.int64()),
-        "n_total": pa.array(out["n"], type=pa.int64()),
+        "tile_id": su.to_string_fixed(t << np.uint64(52), TILE_RES),
+        "peak_hour": pa.array(hours[best]),
+        "n_at_peak": pa.array(cnts[best]),
+        "n_total": pa.array(np.add.reduceat(cnts, start)),
     })
 
 

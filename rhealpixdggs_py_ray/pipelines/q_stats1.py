@@ -3929,7 +3929,7 @@ def q_markov_transitions(sf_dir: str):
     rows (5 event types), combined on the driver (resumable_tiling
     precedent for tiny final merges).  Output (prev_type, next_type,
     n, p_e9)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     n_buckets = sizing.exchange_buckets(16)
@@ -3967,19 +3967,12 @@ def q_markov_transitions(sf_dir: str):
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "one": pa.array(cnt.astype(np.int64))})
 
-    folded = sum_by_u64_key(
+    # <= 25 rows: combine on the driver
+    key, n = sum_to_driver(
         ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket").map_groups(per_bucket, batch_format="pyarrow"),
-        "key", "one", "n", n_buckets=4,
-    )
-    # <= 25 rows: combine on the driver
-    keys, ns = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            keys.append(b["key"].to_numpy(zero_copy_only=False))
-            ns.append(b["n"].to_numpy(zero_copy_only=False))
-    key = np.concatenate(keys).astype(np.int64)
-    n = np.concatenate(ns)
+        "key", "one")
+    key = key.astype(np.int64)
     prev, nxt = key // 8, key % 8
     row_tot = np.zeros(len(EVT_TYPES), dtype=np.int64)
     np.add.at(row_tot, prev, n)
@@ -4363,7 +4356,8 @@ def q_decision_stump(sf_dir: str):
         vq = np.floor(M.astype(np.float64) * 1000.0).astype(np.int64)
         lab = batch["label"].to_numpy(zero_copy_only=False).astype(np.int64)
         n, d = vq.shape
-        assert np.abs(vq).max() < 2048 and lab.max() < 16
+        if not (np.abs(vq).max() < 2048 and lab.max() < 16):
+            raise AssertionError("decision_stump packing bound")
         dim = np.repeat(np.arange(d, dtype=np.int64), n)
         v = vq.T.ravel()
         lb = np.tile(lab, d)
@@ -4406,7 +4400,8 @@ def q_decision_stump(sf_dir: str):
             vd, ld, cd = v[m], lab[m], c[m]
             vals = np.unique(vd)
             N = int(cd.sum())
-            assert N <= 16_000, "decision_stump int64 score bound"
+            if not N <= 16_000:
+                raise AssertionError("decision_stump int64 score bound")
             # label-count matrix over the value grid
             vidx = np.searchsorted(vals, vd)
             cm = np.zeros((len(vals), 16), dtype=np.int64)
@@ -4505,7 +4500,7 @@ def q_ab_test(sf_dir: str):
     Distinct (user, type) pairs fold through one u64 exchange; the
     readout itself is a <= (5 types x 2 arms + 2)-row driver fold.
     Output (event_type, x_a, n_a, x_b, n_b, z_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"], blocks=4)
@@ -4524,19 +4519,14 @@ def q_ab_test(sf_dir: str):
             "one": pa.array(np.ones(len(allk), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    key, _ = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "m", n_buckets=8,
-    )
-    # bounded driver fold: 12 counters (5 types + sentinel, 2 arms)
+        "key", "one")
+    # 12 counters (5 types + sentinel, 2 arms) over the distinct pairs
     x = np.zeros((8, 2), dtype=np.int64)
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows == 0:
-            continue
-        key = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        code = (key & np.uint64(7)).astype(np.int64)
-        arm = ((key >> np.uint64(3)) % np.uint64(2)).astype(np.int64)
-        np.add.at(x, (code, arm), 1)
+    code = (key & np.uint64(7)).astype(np.int64)
+    arm = ((key >> np.uint64(3)) % np.uint64(2)).astype(np.int64)
+    np.add.at(x, (code, arm), 1)
     n_a, n_b = int(x[7, 0]), int(x[7, 1])
     rows = []
     for t, i in codes.items():
@@ -4610,7 +4600,7 @@ def q_distance_decay(sf_dir: str):
     import math
 
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
 
     k = DECAY_RES
     side = 3 ** k
@@ -4659,32 +4649,21 @@ def q_distance_decay(sf_dir: str):
         return pa.table({"key": pa.array(uq, type=pa.uint64()),
                          "one": pa.array(cnt.astype(np.int64))})
 
-    folded = sum_by_u64_key(
+    key, n = sum_to_driver(
         ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket").map_groups(moves, batch_format="pyarrow"),
-        "key", "one", "n", n_buckets=8,
-    )
-    Sx = Sy = Sxx = Sxy = 0
-    K = 0
-    n_moves = 0
-    for bt in folded.iter_batches(batch_format="pyarrow"):
-        if bt.num_rows == 0:
-            continue
-        key = bt["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        n = bt["n"].to_numpy(zero_copy_only=False)
-        a = (key >> np.uint64(16)).astype(np.int64)
-        b = (key & np.uint64((1 << 16) - 1)).astype(np.int64)
-        dy = np.abs(a // W - b // W)
-        dxr = np.abs(a % W - b % W)
-        cheb = np.maximum(dy, np.minimum(dxr, W - dxr))
-        x = np.floor(_libm_log(cheb) * 1e6).astype(np.int64)
-        y = np.floor(_libm_log(n) * 1e6).astype(np.int64)
-        K += len(x)
-        n_moves += int(n.sum())
-        Sx += int(x.sum())
-        Sy += int(y.sum())
-        Sxx += int((x * x).sum())
-        Sxy += int((x * y).sum())
+        "key", "one")
+    a = (key >> np.uint64(16)).astype(np.int64)
+    b = (key & np.uint64((1 << 16) - 1)).astype(np.int64)
+    dy = np.abs(a // W - b // W)
+    dxr = np.abs(a % W - b % W)
+    cheb = np.maximum(dy, np.minimum(dxr, W - dxr))
+    x = np.floor(_libm_log(cheb) * 1e6).astype(np.int64)
+    y = np.floor(_libm_log(n) * 1e6).astype(np.int64)
+    K = len(x)
+    n_moves = int(n.sum())
+    Sx, Sy = int(x.sum()), int(y.sum())
+    Sxx, Sxy = int((x * x).sum()), int((x * y).sum())
 
     def tdiv(a: int, b: int) -> int:
         q = abs(a) // abs(b)
@@ -4771,35 +4750,9 @@ def q_bootstrap_ci(sf_dir: str):
     is a bounded (span-length) fold; resampling is a driver finish.
     Output one row (n_days, mean_milli, lo_milli, hi_milli)."""
     from rhealpixdggs_py_ray.fixtures import splitmix64
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
 
-    ds = _read(sf_dir, "events", columns=["ts"], blocks=4)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = (batch["ts"].to_numpy(zero_copy_only=False)
-              .astype("datetime64[us]").astype(np.int64))
-        day = (ts // 86_400_000_000).astype(np.uint64)
-        return pa.table({
-            "key": pa.array(day, type=pa.uint64()),
-            "one": pa.array(np.ones(len(day), dtype=np.int64)),
-        })
-
-    folded = sum_by_u64_key(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "c", n_buckets=4,
-    )
-    days, cnts = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            days.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-            cnts.append(b["c"].to_numpy(zero_copy_only=False))
-    day = np.concatenate(days)
-    c = np.concatenate(cnts)
-    d0, d1 = int(day.min()), int(day.max())
-    n = d1 - d0 + 1
-    dense = np.zeros(n, dtype=np.int64)
-    dense[day - d0] = c
+    _, dense = _daily_counts_driver(sf_dir)
+    n = len(dense)
     b_i = np.arange(BOOT_B, dtype=np.uint64)[:, None] * np.uint64(n) \
         + np.arange(n, dtype=np.uint64)[None, :]
     idx = (splitmix64(b_i.ravel()) % np.uint64(n)).astype(np.int64)
@@ -4934,7 +4887,7 @@ def q_ks_test(sf_dir: str):
     a single u64 exchange carries the joint histogram.  The ordered
     cumsum runs over the folded DISTINCT-value table (bounded by the
     value grid, not rows).  Output one row (n_a, n_b, d_num, d_e9)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"], blocks=4)
 
@@ -4943,7 +4896,8 @@ def q_ks_test(sf_dir: str):
         v = batch["value"].to_numpy(zero_copy_only=False)
         # +0.0 has bit pattern 0 and sorts first: bit order ==
         # numeric order for all NON-NEGATIVE doubles
-        assert (v >= 0).all(), "bit-order key needs non-negative values"
+        if not (v >= 0).all():
+            raise AssertionError("bit-order key needs non-negative values")
         bits = v.view(np.uint64)
         arm = (uid % 2).astype(np.int64)
         packed = np.where(arm == 0, np.int64(1) << np.int64(32), np.int64(1))
@@ -4952,20 +4906,10 @@ def q_ks_test(sf_dir: str):
             "one": pa.array(packed),
         })
 
-    folded = sum_by_u64_key(
+    # keys ascending; positive doubles: bit order == value order
+    _, pc = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "pc", n_buckets=8,
-    )
-    keys, pcs = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            keys.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.uint64))
-            pcs.append(b["pc"].to_numpy(zero_copy_only=False))
-    key = np.concatenate(keys)
-    pc = np.concatenate(pcs)
-    order = np.argsort(key)  # positive doubles: bit order == value order
-    pc = pc[order]
+        "key", "one")
     ca = pc >> np.int64(32)
     cb = pc & np.int64((1 << 32) - 1)
     na, nb_ = int(ca.sum()), int(cb.sum())
@@ -5020,7 +4964,7 @@ def q_assoc_rules(sf_dir: str):
     and emits packed partial counts (pair/type/total namespaces share
     one u64 fold); the readout is a <= 41-row driver fold.  Output
     (type_a, type_b, n_ab, n_a, n_b, n_sessions, conf_e9, lift_e9)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     n_buckets = sizing.exchange_buckets(16)
@@ -5086,16 +5030,11 @@ def q_assoc_rules(sf_dir: str):
         return pa.table({"key": pa.array(keys, type=pa.uint64()),
                          "one": pa.array(vals)})
 
-    folded = sum_by_u64_key(
+    keys, vals = sum_to_driver(
         ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket").map_groups(per_bucket, batch_format="pyarrow"),
-        "key", "one", "n", n_buckets=4,
-    )
-    counts: dict[int, int] = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["n"].to_pylist()):
-                counts[int(k)] = counts.get(int(k), 0) + int(v)
+        "key", "one")
+    counts = dict(zip(keys.tolist(), vals.tolist()))
     N = counts.get(0, 0)
     types = list(EVT_TYPES)
     rows = []

@@ -60,37 +60,11 @@ def q_vopt_bins(sf_dir: str):
     the smaller split.  The day table is one bounded fold; the DP is
     a driver finish over n<=span days.  Output VOPT_K rows (bin,
     start_day, end_day, cost_q)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
-    ds = _read(sf_dir, "events", columns=["ts"], blocks=4)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = (batch["ts"].to_numpy(zero_copy_only=False)
-              .astype("datetime64[us]").astype(np.int64))
-        day = (ts // 86_400_000_000).astype(np.uint64)
-        return pa.table({
-            "key": pa.array(day, type=pa.uint64()),
-            "one": pa.array(np.ones(len(day), dtype=np.int64)),
-        })
-
-    folded = sum_by_u64_key(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "c", n_buckets=4,
-    )
-    days, cnts = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            days.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-            cnts.append(b["c"].to_numpy(zero_copy_only=False))
-    day = np.concatenate(days)
-    c = np.concatenate(cnts)
-    d0 = int(day.min())
-    n = int(day.max()) - d0 + 1
-    v = [0] * n
-    for dd, cc in zip(day.tolist(), c.tolist()):
-        v[dd - d0] = int(cc)
-    assert n >= VOPT_K
+    d0, counts = _daily_counts_driver(sf_dir)
+    v = counts.tolist()
+    n = len(v)
+    if not n >= VOPT_K:
+        raise AssertionError(f"vopt_bins needs >= {VOPT_K} days, got {n}")
     ps1 = [0] * (n + 1)
     ps2 = [0] * (n + 1)
     for i in range(n):
@@ -368,7 +342,7 @@ def q_eb_shrinkage(sf_dir: str):
     packed (tile, is_purchase) exchange + a global fold.  Output
     (tile_id, x, n, raw_e9, shrunk_e9)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["event_id", "event_type"],
                blocks=4)
@@ -386,20 +360,13 @@ def q_eb_shrinkage(sf_dir: str):
             "one": pa.array((isp << np.int64(32)) | np.int64(1)),
         })
 
-    folded = sum_by_u64_key(
+    keys, pcs = sum_to_driver(  # <= 486 rows
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "pc", n_buckets=8,
-    ).materialize()  # <= 486 rows
-
-    xg = ng = 0
-    rows = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["pc"].to_pylist()):
-                x, n = int(v) >> 32, int(v) & ((1 << 32) - 1)
-                xg += x
-                ng += n
-                rows.append((int(k), x, n))
+        "key", "one")
+    rows = [(k, v >> 32, v & ((1 << 32) - 1))
+            for k, v in zip(keys.tolist(), pcs.tolist())]
+    xg = sum(r[1] for r in rows)
+    ng = sum(r[2] for r in rows)
     out = []
     for tile, x, n in rows:
         raw = x * 10**9 // n
@@ -457,7 +424,7 @@ def q_target_encoding(sf_dir: str):
     categorical encoder.  Values quantize BEFORE the sums (order-free
     ints); per-type sums are one tiny fold broadcast into a pure map.
     Output (event_id, event_type, v_micro, enc_micro)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     ds = _read(sf_dir, "events",
@@ -477,15 +444,10 @@ def q_target_encoding(sf_dir: str):
                 [v, np.ones(len(v), dtype=np.int64)])),
         })
 
-    folded = sum_by_u64_key(
+    keys, sums = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "pc", n_buckets=4,
-    )
-    raw = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["pc"].to_pylist()):
-                raw[int(k)] = raw.get(int(k), 0) + int(v)
+        "key", "one")
+    raw = dict(zip(keys.tolist(), sums.tolist()))
     stats = {c: (raw.get(c * 2, 0), raw.get(c * 2 + 1, 0))
              for c in range(len(EVT_TYPES))}
     sref = ray.put(stats)
@@ -540,7 +502,7 @@ def q_facility_placement(sf_dir: str):
     selection as chained CTEs (mmr_rerank pattern).  Output (rank,
     tile_id, gain, covered_total)."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["event_id", "user_id"], blocks=4)
 
@@ -556,21 +518,12 @@ def q_facility_placement(sf_dir: str):
             "one": pa.array(np.ones(len(key), dtype=np.int64)),
         })
 
-    dvis = sum_by_u64_key(
+    key, _ = sum_to_driver(
         ds.map_batches(visits, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "m", n_buckets=8,
-    )
-    ks = []
-    for b in dvis.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            ks.append(b["key"].to_numpy(zero_copy_only=False)
-                      .astype(np.uint64))
-    key = np.concatenate(ks)
-    uid = (key >> np.uint64(12)).astype(np.int64)
+        "key", "one")
+    uu, ui = np.unique((key >> np.uint64(12)).astype(np.int64),
+                       return_inverse=True)
     tile = (key & np.uint64((1 << 12) - 1)).astype(np.int64)
-    uu = np.unique(uid)
-    uidx = {int(u_): i for i, u_ in enumerate(uu)}
-    ui = np.array([uidx[int(u_)] for u_ in uid], dtype=np.int64)
     covered = np.zeros(len(uu), dtype=bool)
     out = []
     tot = 0
@@ -652,14 +605,15 @@ def q_emd_1d(sf_dir: str):
     gap, where gap is the micro-quantized step to the next distinct
     value — all integers (same single-exchange bit-order fold as
     ks_test).  Output one row (n_a, n_b, w_num, emd_micro)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id", "value"], blocks=4)
 
     def partial(batch: pa.Table) -> pa.Table:
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         v = batch["value"].to_numpy(zero_copy_only=False)
-        assert (v >= 0).all()
+        if not (v >= 0).all():
+            raise AssertionError("bit-order key needs non-negative values")
         bits = v.view(np.uint64)
         arm = (uid % 2).astype(np.int64)
         packed = np.where(arm == 0, np.int64(1) << np.int64(32), np.int64(1))
@@ -668,20 +622,9 @@ def q_emd_1d(sf_dir: str):
             "one": pa.array(packed),
         })
 
-    folded = sum_by_u64_key(
+    key, pc_ = sum_to_driver(  # keys ascending == values ascending
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "pc", n_buckets=8,
-    )
-    keys, pcs = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            keys.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.uint64))
-            pcs.append(b["pc"].to_numpy(zero_copy_only=False))
-    key = np.concatenate(keys)
-    pc_ = np.concatenate(pcs)
-    order = np.argsort(key)
-    key, pc_ = key[order], pc_[order]
+        "key", "one")
     vq = np.floor(key.view(np.float64) * 1e6).astype(np.int64)
     ca = pc_ >> np.int64(32)
     cb = pc_ & np.int64((1 << 32) - 1)
@@ -866,7 +809,7 @@ def q_chi_square(sf_dir: str):
     cells (bignum/HUGEINT; N*O etc exceed int64 by design).  One
     packed (type, arm) fold; 10-cell driver readout.  Output one row
     (n, dof, chi2_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"], blocks=4)
@@ -881,15 +824,10 @@ def q_chi_square(sf_dir: str):
             "one": pa.array(np.ones(len(key), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    keys, ns = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "n", n_buckets=2,
-    )
-    O = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["n"].to_pylist()):
-                O[int(k)] = O.get(int(k), 0) + int(v)
+        "key", "one")
+    O = dict(zip(keys.tolist(), ns.tolist()))
     types = [c for c in range(len(EVT_TYPES))
              if O.get(c * 2, 0) + O.get(c * 2 + 1, 0) > 0]
     arms = [a for a in (0, 1)
@@ -954,7 +892,7 @@ def q_rfm_segments(sf_dir: str):
     (DriverCapExceeded past the 8M driver cap; beyond it the rank is a
     distributed sort).  Output (custkey, r_day, f, m_cents, r_q, f_q,
     m_q, segment)."""
-    from rhealpixdggs_py_ray.ops.agg import max_by_u64_key, sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import max_to_driver, sum_to_driver
 
     ds = _read(sf_dir, "orders",
                columns=["o_custkey", "o_orderdate", "o_totalprice"],
@@ -981,33 +919,17 @@ def q_rfm_segments(sf_dir: str):
         return pa.table({"key": pa.array(ck, type=pa.uint64()),
                          "v": pa.array(day)})
 
-    fm = sum_by_u64_key(
+    # every customer has both namespaces (ck*2, ck*2+1) and one max
+    # row, so the three arrays below line up in ascending custkey
+    fm_key, fm = sum_to_driver(
         ds.map_batches(sums, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "s", n_buckets=8,
-    )
-    rd = max_by_u64_key(
+        "key", "one")
+    _, r = max_to_driver(
         ds.map_batches(lastday, batch_format="pyarrow",
                        zero_copy_batch=True),
-        "key", "v", "r", n_buckets=8,
-    )
-    f_map: dict[int, int] = {}
-    m_map: dict[int, int] = {}
-    r_map: dict[int, int] = {}
-    for b in fm.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["s"].to_pylist()):
-                (f_map if int(k) % 2 == 0 else m_map)[int(k) // 2] = \
-                    (f_map if int(k) % 2 == 0 else m_map).get(
-                        int(k) // 2, 0) + int(v)
-    for b in rd.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            for k, v in zip(b["key"].to_pylist(), b["r"].to_pylist()):
-                r_map[int(k)] = max(r_map.get(int(k), -1), int(v))
-    cks = np.array(sorted(f_map), dtype=np.int64)
-    check_driver_cap(len(cks), "rfm_segments")
-    f = np.array([f_map[c] for c in cks.tolist()], dtype=np.int64)
-    m = np.array([m_map[c] for c in cks.tolist()], dtype=np.int64)
-    r = np.array([r_map[c] for c in cks.tolist()], dtype=np.int64)
+        "key", "v")
+    cks = (fm_key[0::2] // np.uint64(2)).astype(np.int64)
+    f, m = fm[0::2], fm[1::2]
     n = len(cks)
 
     def quintile(metric: np.ndarray) -> np.ndarray:
@@ -1072,7 +994,7 @@ def q_tile_pmi(sf_dir: str):
     Output (tile_a, tile_b, n_common, pmi_e6)."""
     sim = q_tile_similarity(sf_dir)
     ds = _read(sf_dir, "events", columns=["user_id"], blocks=4)
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     def users(batch: pa.Table) -> pa.Table:
         uid = np.unique(batch["user_id"].to_numpy(zero_copy_only=False))
@@ -1081,27 +1003,20 @@ def q_tile_pmi(sf_dir: str):
             "one": pa.array(np.ones(len(uid), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    N = len(sum_to_driver(
         ds.map_batches(users, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "m", n_buckets=4,
-    )
-    N = sum(b.num_rows for b in folded.iter_batches(batch_format="pyarrow"))
+        "key", "one")[0])
 
     import math
 
-    def slog(a: np.ndarray) -> np.ndarray:
-        # SCALAR libm log per unique value: numpy's SIMD np.log differs
-        # from libm (= DuckDB ln) by 1 ulp on ~25% of inputs, which
-        # flips the sign of exactly-cancelling PMI terms
-        uq, inv = np.unique(a, return_inverse=True)
-        return np.array([math.log(float(u)) for u in uq])[inv]
-
     def pmi(batch: pa.Table) -> pa.Table:
+        # scalar-libm logs: SIMD np.log's 1-ulp wobble would flip the
+        # sign of exactly-cancelling PMI terms
         nab = batch["n_common"].to_numpy(zero_copy_only=False)
         na = batch["n_a"].to_numpy(zero_copy_only=False)
         nb_ = batch["n_b"].to_numpy(zero_copy_only=False)
-        val = (((slog(nab) + math.log(float(N))) - slog(na))
-               - slog(nb_)) * 1e6
+        val = (((_libm_log(nab) + math.log(float(N))) - _libm_log(na))
+               - _libm_log(nb_)) * 1e6
         return pa.table({
             "tile_a": batch["tile_a"],
             "tile_b": batch["tile_b"],
@@ -1137,7 +1052,7 @@ def q_odds_ratio(sf_dir: str):
     (nb-xb+1)) * 1e6 // ((xb+1) * (na-xa+1)), exact integers on the
     same distinct-(user,type) fold ab_test uses.  Output (event_type,
     x_a, n_a, x_b, n_b, or_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     codes = {t: i for i, t in enumerate(EVT_TYPES)}
     ds = _read(sf_dir, "events", columns=["user_id", "event_type"], blocks=4)
@@ -1155,17 +1070,13 @@ def q_odds_ratio(sf_dir: str):
             "one": pa.array(np.ones(len(allk), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    key, _ = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "m", n_buckets=8,
-    )
+        "key", "one")
     x = np.zeros((8, 2), dtype=np.int64)
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            key = b["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            code = (key & np.uint64(7)).astype(np.int64)
-            arm = ((key >> np.uint64(3)) % np.uint64(2)).astype(np.int64)
-            np.add.at(x, (code, arm), 1)
+    code = (key & np.uint64(7)).astype(np.int64)
+    arm = ((key >> np.uint64(3)) % np.uint64(2)).astype(np.int64)
+    np.add.at(x, (code, arm), 1)
     n_a, n_b = int(x[7, 0]), int(x[7, 1])
     rows = []
     for t, i in sorted(codes.items()):
@@ -1246,7 +1157,8 @@ def q_corr_matrix(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         q = quant(batch)
-        assert np.abs(q).max(initial=0) < 2 ** 20, "quantized value bound"
+        if not np.abs(q).max(initial=0) < 2 ** 20:
+            raise AssertionError("quantized value bound")
         rows = {"pair": [], "n": [], "sx": [], "sy": [],
                 "sxx": [], "syy": [], "sxy": []}
         for pid, (i, j) in enumerate(pairs):
@@ -1279,7 +1191,8 @@ def q_corr_matrix(sf_dir: str):
         i, j = pairs[pid]
         n, sx, sy, sxx, syy, sxy = acc[pid]
         bound = max(bnd for _c, _q, bnd in CORR_COLS)
-        assert n * bound * bound < 4 * 10 ** 15, "HUGEINT headroom"
+        if not n * bound * bound < 4 * 10 ** 15:
+            raise AssertionError("HUGEINT headroom")
         num = n * sxy - sx * sy
         d1 = n * sxx - sx * sx
         d2 = n * syy - sy * sy
@@ -1341,7 +1254,7 @@ def q_benford_test(sf_dir: str):
     Output (digit, obs, exp_e6, dev_e6)."""
     import math
 
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "orders", columns=["o_totalprice"])
 
@@ -1360,18 +1273,13 @@ def q_benford_test(sf_dir: str):
             "obs": pa.array(cnt.astype(np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    digit, count = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "digit", "obs", "obs", n_buckets=1,
-    )
-    rows = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            rows.extend(zip(b["digit"].to_pylist(), b["obs"].to_pylist()))
-    rows = [(int(d), int(o)) for d, o in rows if o > 0]
+        "digit", "obs")
+    rows = [(d, o) for d, o in zip(digit.tolist(), count.tolist()) if o > 0]
     n_tot = sum(o for _d, o in rows)
     digs, obs, exp_e6, dev_e6 = [], [], [], []
-    for d, o in sorted(rows):
+    for d, o in rows:
         p = math.log(float(d + 1) / float(d)) / math.log(10.0)
         e = float(n_tot) * p
         dev = (float(o) - e) * (float(o) - e) / e
@@ -1784,7 +1692,8 @@ def q_extreme_values(sf_dir: str):
                 continue
             sx = int(x.sum())
             sxx = int((x * x).sum())
-            assert k * sxx < (1 << 53), "extreme_values moment overflow"
+            if not k * sxx < (1 << 53):
+                raise AssertionError("extreme_values moment overflow")
             mean = float(sx) / float(k)
             var = (float(k) * float(sxx) - float(sx) * float(sx)) / (
                 float(k) * float(k - 1))
@@ -1982,7 +1891,8 @@ def q_diff_in_diff(sf_dir: str):
             N[cell] += int(n)
             S[cell] += int(s)
     # cells: 0 = A pre, 1 = A post, 2 = B pre, 3 = B post
-    assert all(N), "diff_in_diff needs events in every (arm, period) cell"
+    if not all(N):
+        raise AssertionError("diff_in_diff needs events in every (arm, period) cell")
     num = ((S[3] * N[2] - S[2] * N[3]) * N[0] * N[1]
            - (S[1] * N[0] - S[0] * N[1]) * N[2] * N[3])
     den = N[0] * N[1] * N[2] * N[3]
@@ -2041,7 +1951,7 @@ def q_hill_tail(sf_dir: str):
     Output (k, x_min, sum_ln_q, alpha_e6)."""
     import math
 
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id"], blocks=4)
 
@@ -2053,15 +1963,10 @@ def q_hill_tail(sf_dir: str):
             "n": pa.array(cnt.astype(np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    _, c = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "user_id", "n", "n", n_buckets=4,
-    )
-    cnts = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            cnts.append(b["n"].to_numpy(zero_copy_only=False))
-    c = np.sort(np.concatenate(cnts))[::-1].astype(np.int64)
+        "user_id", "n")
+    c = np.sort(c)[::-1]
     k = min(HILL_K, len(c))
     top = c[:k]
     xk = int(top[-1])
@@ -2168,7 +2073,8 @@ def q_permutation_test(sf_dir: str):
         return abs(sA * nB - sB * nA), nA * nB
 
     d0, den0 = stat(2 * K, 2 * K + 1)
-    assert den0 > 0, "permutation_test needs both observed arms"
+    if not den0 > 0:
+        raise AssertionError("permutation_test needs both observed arms")
     n_ge = 0
     for k in range(K):
         dk, denk = stat(2 * k, 2 * k + 1)
@@ -3486,7 +3392,7 @@ def q_price_index(sf_dir: str):
     over parts present in BOTH periods — every step exact integers.
     One u64 fold keyed part*2+period.
     Output (n_parts, basket_pre, basket_post_at_pre_q, index_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_quantity", "l_extendedprice",
@@ -3509,52 +3415,26 @@ def q_price_index(sf_dir: str):
         es = np.zeros(len(uq), dtype=np.int64)
         np.add.at(qs, inv, q)
         np.add.at(es, inv, e)
-        out = pa.table({
-            "key": pa.array(np.concatenate([uq, uq]), type=pa.uint64()),
-            "stat": pa.array(np.concatenate(
-                [np.zeros(len(uq), dtype=np.int64),
-                 np.ones(len(uq), dtype=np.int64)])),
+        # stat 0 = quantity, 1 = cents, packed as key*2 + stat
+        return pa.table({
+            "pk": pa.array(np.concatenate([uq * np.uint64(2),
+                                           uq * np.uint64(2) + np.uint64(1)]),
+                           type=pa.uint64()),
             "v": pa.array(np.concatenate([qs, es])),
         })
-        return out
 
-    # fold (key, stat) -> sum via packed key*2+stat
-    def pack(batch: pa.Table) -> pa.Table:
-        k = batch["key"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        st = batch["stat"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return pa.table({
-            "pk": pa.array(k * np.uint64(2) + st, type=pa.uint64()),
-            "v": batch["v"],
-        })
-
-    folded = sum_by_u64_key(
-        ds.map_batches(part, batch_format="pyarrow",
-                       zero_copy_batch=True).map_batches(
-            pack, batch_format="pyarrow", zero_copy_batch=True),
-        "pk", "v", "v", n_buckets=4,
-    )
-    acc: dict = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        for k, v in zip(b["pk"].to_pylist(), b["v"].to_pylist()):
-            acc[int(k)] = acc.get(int(k), 0) + int(v)
-    parts_info: dict = {}
-    for pk4, v in acc.items():
-        part_key = pk4 // 4
-        per = (pk4 // 2) % 2
-        stat = pk4 % 2
-        d = parts_info.setdefault(part_key, [0, 0, 0, 0])
-        d[per * 2 + stat] += v
-    n_parts = 0
-    basket_pre = 0
-    basket_cross = 0
-    for pk2, (q0, e0, q1, e1) in sorted(parts_info.items()):
-        if q0 <= 0 or q1 <= 0:
-            continue
-        up0 = e0 // q0
-        up1 = e1 // q1
-        n_parts += 1
-        basket_pre += q0 * up0
-        basket_cross += q0 * up1
+    pk4, v = sum_to_driver(
+        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+        "pk", "v")
+    # pk4 = partkey*4 + period*2 + stat -> one (q0, e0, q1, e1) row per part
+    parts, inv = np.unique(pk4 // np.uint64(4), return_inverse=True)
+    qe = np.zeros((len(parts), 4), dtype=np.int64)
+    qe[inv, (pk4 % np.uint64(4)).astype(np.int64)] = v
+    qe = qe[(qe[:, 0] > 0) & (qe[:, 2] > 0)]
+    q0, e0, q1, e1 = qe.T
+    n_parts = len(qe)
+    basket_pre = int((q0 * (e0 // q0)).sum())
+    basket_cross = int((q0 * (e1 // q1)).sum())
     idx = (basket_cross * 10 ** 6 // basket_pre) if basket_pre else 0
     return pa.table({
         "n_parts": pa.array([n_parts], type=pa.int64()),
@@ -4527,7 +4407,8 @@ def q_ship_lag(sf_dir: str):
         # rows are bounded by #priorities x #lag values — the driver
         # combines tiny histograms instead of looping per pair row
         pu, pinv = np.unique(pr.astype(str), return_inverse=True)
-        assert len(lag) == 0 or (np.abs(lag) < 500_000).all()
+        if not (len(lag) == 0 or (np.abs(lag) < 500_000).all()):
+            raise AssertionError("ship_lag packing bound (|lag| < 500000 days)")
         comb = pinv.astype(np.int64) * 1_000_000 + (lag + 500_000)
         uq, cnt = np.unique(comb, return_counts=True)
         return pa.table({
@@ -4608,7 +4489,7 @@ def q_abc_analysis(sf_dir: str):
     19*total), C the rest.  Per class: part count and revenue cents.
     One u64 fold; the ranking is a bounded driver sort (part
     dimension).  Output (cls, n_parts, revenue_cents)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_extendedprice"], blocks=4)
@@ -4626,18 +4507,11 @@ def q_abc_analysis(sf_dir: str):
             "v": pa.array(s),
         })
 
-    folded = sum_by_u64_key(
+    keys, rev = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "v", "v", n_buckets=4,
-    )
-    rows = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            rows.extend(zip(b["key"].to_pylist(), b["v"].to_pylist()))
-    agg: dict = {}
-    for k, v in rows:
-        agg[int(k)] = agg.get(int(k), 0) + int(v)
-    ranked = sorted(agg.items(), key=lambda kv: (-kv[1], kv[0]))
+        "key", "v")
+    ranked = sorted(zip(keys.tolist(), rev.tolist()),
+                    key=lambda kv: (-kv[1], kv[0]))
     total = sum(v for _k, v in ranked)
     cls_n = {"A": 0, "B": 0, "C": 0}
     cls_r = {"A": 0, "B": 0, "C": 0}
@@ -4706,7 +4580,7 @@ def q_new_vs_returning(sf_dir: str):
     'returning' on later active days.  Exact distinct (user, day)
     fold, then a bounded resolve.  Output (day, n_new,
     n_returning)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"], blocks=4)
 
@@ -4714,7 +4588,8 @@ def q_new_vs_returning(sf_dir: str):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         day = (batch["ts"].to_numpy(zero_copy_only=False)
                .astype("datetime64[D]").astype(np.int64))
-        assert uid.max(initial=0) < (1 << 32)
+        if not uid.max(initial=0) < (1 << 32):
+            raise AssertionError("new_vs_returning packing needs user_id < 2^32")
         key = (day.astype(np.uint64) << np.uint64(32)) | uid.astype(
             np.uint64)
         uq = np.unique(key)
@@ -4723,32 +4598,21 @@ def q_new_vs_returning(sf_dir: str):
             "one": pa.array(np.ones(len(uq), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    key, _ = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "n", n_buckets=4,
-    )
-    first_day: dict = {}
-    pairs = []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        for k in b["key"].to_pylist():
-            day = int(k) >> 32
-            uid = int(k) & ((1 << 32) - 1)
-            pairs.append((day, uid))
-            if uid not in first_day or day < first_day[uid]:
-                first_day[uid] = day
-    per_day: dict = {}
-    for day, uid in pairs:
-        new, ret = per_day.get(day, (0, 0))
-        if first_day[uid] == day:
-            per_day[day] = (new + 1, ret)
-        else:
-            per_day[day] = (new, ret + 1)
-    ds_ = sorted(per_day)
+        "key", "one")
+    # keys ascend by (day, user): a user's first row is its first day
+    uid = key & np.uint64((1 << 32) - 1)
+    is_new = np.zeros(len(key), dtype=bool)
+    is_new[np.unique(uid, return_index=True)[1]] = True
+    days, inv = np.unique((key >> np.uint64(32)).astype(np.int64),
+                          return_inverse=True)
+    n_all = np.bincount(inv, minlength=len(days))
+    n_new = np.bincount(inv[is_new], minlength=len(days))
     return pa.table({
-        "day": pa.array(ds_, type=pa.int64()),
-        "n_new": pa.array([per_day[d][0] for d in ds_], type=pa.int64()),
-        "n_returning": pa.array([per_day[d][1] for d in ds_],
-                                type=pa.int64()),
+        "day": pa.array(days),
+        "n_new": pa.array(n_new.astype(np.int64)),
+        "n_returning": pa.array((n_all - n_new).astype(np.int64)),
     })
 
 

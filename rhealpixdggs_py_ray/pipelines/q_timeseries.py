@@ -1062,7 +1062,8 @@ def q_window_distinct(sf_dir: str):
         t = batch["ts"].to_numpy(zero_copy_only=False).astype(
             "datetime64[D]").astype(np.int64)
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        assert uid.max(initial=0) < (1 << 32), "user id packing overflow"
+        if not uid.max(initial=0) < (1 << 32):
+            raise AssertionError("user id packing overflow")
         pair = np.unique(t * (1 << 32) + uid)
         d = pair >> 32
         u = pair & ((1 << 32) - 1)
@@ -1706,36 +1707,9 @@ def q_holt_lite(sf_dir: str):
     lateral column aliases in dependency order, the frechet
     precedent).  Output one row (n_days, level_q20, trend_q20,
     forecast_q20, total_abs_err_q20)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
-
-    ds = _read(sf_dir, "events", columns=["ts"], blocks=4)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = (batch["ts"].to_numpy(zero_copy_only=False)
-              .astype("datetime64[us]").astype(np.int64))
-        day = (ts // 86_400_000_000).astype(np.uint64)
-        return pa.table({
-            "key": pa.array(day, type=pa.uint64()),
-            "one": pa.array(np.ones(len(day), dtype=np.int64)),
-        })
-
-    folded = sum_by_u64_key(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "c", n_buckets=4,
-    )
-    days, cnts = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            days.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-            cnts.append(b["c"].to_numpy(zero_copy_only=False))
-    day = np.concatenate(days)
-    c = np.concatenate(cnts)
-    d0 = int(day.min())
-    n = int(day.max()) - d0 + 1
-    v = [0] * n
-    for dd, cc in zip(day.tolist(), c.tolist()):
-        v[dd - d0] = int(cc) << HOLT_SHIFT
+    _, counts = _daily_counts_driver(sf_dir)
+    v = [c << HOLT_SHIFT for c in counts.tolist()]
+    n = len(v)
 
     def tdiv(a: int, b: int) -> int:
         q = abs(a) // abs(b)
@@ -3159,7 +3133,7 @@ def q_dau_wau(sf_dir: str):
     distinct users over the week * 1e6 // (7 * weekly distinct
     users); exact integer counting from one distinct (user, day)
     fold.  Output (week, dau_sum, wau, stickiness_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["user_id", "ts"], blocks=4)
 
@@ -3167,7 +3141,8 @@ def q_dau_wau(sf_dir: str):
         uid = batch["user_id"].to_numpy(zero_copy_only=False)
         day = (batch["ts"].to_numpy(zero_copy_only=False)
                .astype("datetime64[D]").astype(np.int64))
-        assert uid.max(initial=0) < (1 << 32)
+        if not uid.max(initial=0) < (1 << 32):
+            raise AssertionError("dau_wau packing needs user_id < 2^32")
         key = (day.astype(np.uint64) << np.uint64(32)) | uid.astype(
             np.uint64)
         uq = np.unique(key)
@@ -3176,30 +3151,22 @@ def q_dau_wau(sf_dir: str):
             "one": pa.array(np.ones(len(uq), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    # one key per distinct (day, user)
+    key, _ = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "n", n_buckets=4,
-    )
-    daily_users: dict = {}
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        for k in b["key"].to_pylist():
-            day = int(k) >> 32
-            uid = int(k) & ((1 << 32) - 1)
-            daily_users.setdefault(day, set()).add(uid)
-    weeks: dict = {}
-    for day, us in daily_users.items():
-        wk = day // 7
-        dau, wau = weeks.get(wk, (0, set()))
-        weeks[wk] = (dau + len(us), wau | us)
-    out = {c: [] for c in ("week", "dau_sum", "wau", "stickiness_e6")}
-    for wk in sorted(weeks):
-        dau, wau = weeks[wk]
-        out["week"].append(wk)
-        out["dau_sum"].append(dau)
-        out["wau"].append(len(wau))
-        out["stickiness_e6"].append(dau * 10 ** 6 // (7 * len(wau)))
-    return pa.table({k: pa.array(v, type=pa.int64())
-                     for k, v in out.items()})
+        "key", "one")
+    wk = (key >> np.uint64(32)).astype(np.int64) // 7
+    uid = (key & np.uint64((1 << 32) - 1)).astype(np.int64)
+    weeks, dau = np.unique(wk, return_counts=True)
+    wau = np.unique(np.unique((wk << 32) | uid) >> 32,
+                    return_counts=True)[1]
+    return pa.table({
+        "week": pa.array(weeks),
+        "dau_sum": pa.array(dau.astype(np.int64)),
+        "wau": pa.array(wau.astype(np.int64)),
+        "stickiness_e6": pa.array((dau * 10 ** 6 // (7 * wau))
+                                  .astype(np.int64)),
+    })
 
 
 def sql_dau_wau() -> str:

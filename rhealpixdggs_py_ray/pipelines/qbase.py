@@ -1342,11 +1342,11 @@ def _bigram_pairs(texts: list[str]):
 
 def _train_bigram_lm(sf_dir: str):
     """Phase 1 of the perplexity-filter shape: distributed char-bigram
-    counts over the whole corpus (per-batch np.unique partials -> one
-    u64-bucket exchange), gathered to a charset^2-bounded table.
+    counts over the whole corpus (per-batch np.unique partials folded
+    on the driver) into a charset^2-bounded table.
     Returns (sorted packed keys, per-bigram quantized score q(b) =
     (BG_SCALE * count(b)) // count(first_char_position(b)))."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "documents", columns=["text"], blocks=4)
 
@@ -1356,22 +1356,16 @@ def _train_bigram_lm(sf_dir: str):
         return pa.table({"bg": pa.array(uq.astype(np.uint64)),
                          "n": pa.array(cnt.astype(np.int64))})
 
-    counts = sum_by_u64_key(
+    keys, nb = sum_to_driver(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
-        "bg", "n", "nb", n_buckets=8)
-    keys_l, nb_l = [], []
-    for b in counts.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            keys_l.append(b["bg"].to_numpy(zero_copy_only=False))
-            nb_l.append(b["nb"].to_numpy(zero_copy_only=False))
-    keys = np.concatenate(keys_l).astype(np.int64) if keys_l else np.zeros(0, np.int64)
-    nb = np.concatenate(nb_l) if nb_l else np.zeros(0, np.int64)
+        "bg", "n")
+    keys = keys.astype(np.int64)
     # broadcast table is charset^2-bounded; guard the bound AND the
     # BG_SCALE * nb packing headroom explicitly
-    assert len(keys) < (1 << 22), "bigram table exceeded broadcast bound"
-    assert nb.max(initial=0) < (1 << 62) // BG_SCALE, "bigram count overflow"
-    order = np.argsort(keys)
-    keys, nb = keys[order], nb[order]
+    if not len(keys) < (1 << 22):
+        raise AssertionError("bigram table exceeded broadcast bound")
+    if not nb.max(initial=0) < (1 << 62) // BG_SCALE:
+        raise AssertionError("bigram count overflow")
     first = keys // BG_PACK
     fu, fi = np.unique(first, return_inverse=True)
     nf = np.zeros(len(fu), dtype=np.int64)
@@ -1878,8 +1872,9 @@ HOLT_BETA = 4       # beta  = 1/4
 
 
 def _daily_counts_driver(sf_dir: str):
-    """Zero-filled global daily counts (bounded span), one fold."""
-    from rhealpixdggs_py_ray.ops.agg import sum_by_u64_key
+    """Zero-filled global daily counts (bounded span), one driver fold:
+    (first epoch day, int64 count per day)."""
+    from rhealpixdggs_py_ray.ops.agg import sum_to_driver
 
     ds = _read(sf_dir, "events", columns=["ts"], blocks=4)
 
@@ -1892,21 +1887,12 @@ def _daily_counts_driver(sf_dir: str):
             "one": pa.array(np.ones(len(day), dtype=np.int64)),
         })
 
-    folded = sum_by_u64_key(
+    day, c = sum_to_driver(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
-        "key", "one", "c", n_buckets=4,
-    )
-    days, cnts = [], []
-    for b in folded.iter_batches(batch_format="pyarrow"):
-        if b.num_rows:
-            days.append(b["key"].to_numpy(zero_copy_only=False)
-                        .astype(np.int64))
-            cnts.append(b["c"].to_numpy(zero_copy_only=False))
-    day = np.concatenate(days)
-    c = np.concatenate(cnts)
-    d0 = int(day.min())
-    n = int(day.max()) - d0 + 1
-    v = np.zeros(n, dtype=np.int64)
+        "key", "one")
+    day = day.astype(np.int64)
+    d0 = int(day[0])
+    v = np.zeros(int(day[-1]) - d0 + 1, dtype=np.int64)
     v[day - d0] = c
     return d0, v
 

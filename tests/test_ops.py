@@ -600,3 +600,70 @@ def test_pareto_local_front_preserves_global():
     merged = set(zip(ux[pareto_front_mask(ux, uy)],
                      uy[pareto_front_mask(ux, uy)]))
     assert merged == whole
+
+
+def _fold_blocks(n_blocks=16, rows=12_000, n_keys=20_000, seed=5):
+    """``n_blocks`` blocks whose keys repeat across blocks; every fourth
+    block is empty."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for i in range(n_blocks):
+        n = 0 if i % 4 == 3 else rows
+        tables.append(pa.table({
+            "k": pa.array(rng.integers(0, n_keys, n).astype(np.uint64)
+                          * np.uint64(0x9E3779B97F4A7C15)),
+            "v": pa.array(rng.integers(-1000, 1000, n).astype(np.int64)),
+        }))
+    return ray.data.from_arrow(tables)
+
+
+def test_driver_fold_matches_dataset_fold(ray_session, monkeypatch):
+    """sum_to_driver / max_to_driver equal the sorted output of the
+    bucket-exchange folds, and the driver compacts mid-stream."""
+    from rhealpixdggs_py_ray.ops import agg
+
+    ds = _fold_blocks().materialize()
+    driver_folds = []
+    fold_u64 = agg._fold_u64
+
+    def counting(k, v, init, at):
+        driver_folds.append(len(k))
+        return fold_u64(k, v, init, at)
+
+    monkeypatch.setattr(agg, "_fold_u64", counting)
+    for to_driver, by_key in ((agg.sum_to_driver, agg.sum_by_u64_key),
+                              (agg.max_to_driver, agg.max_by_u64_key)):
+        driver_folds.clear()
+        keys, vals = to_driver(ds, "k", "v")
+        ref = by_key(ds, "k", "v", "out").to_pandas().sort_values("k")
+        assert keys.dtype == np.uint64 and vals.dtype == np.int64
+        assert (keys[1:] > keys[:-1]).all()
+        np.testing.assert_array_equal(keys, ref["k"].to_numpy(np.uint64))
+        np.testing.assert_array_equal(vals, ref["out"].to_numpy(np.int64))
+        # the partials exceed _COMPACT_ROWS, so the driver compacts
+        # before the end as well as at it
+        assert len(driver_folds) >= 2, driver_folds
+        assert sum(driver_folds) > agg._COMPACT_ROWS
+
+
+def test_driver_fold_empty_input(ray_session):
+    from rhealpixdggs_py_ray.ops import agg
+
+    empty = pa.table({"k": pa.array([], type=pa.uint64()),
+                      "v": pa.array([], type=pa.int64())})
+    ds = ray.data.from_arrow([empty, empty])
+    for to_driver in (agg.sum_to_driver, agg.max_to_driver):
+        keys, vals = to_driver(ds, "k", "v")
+        assert keys.dtype == np.uint64 and vals.dtype == np.int64
+        assert len(keys) == len(vals) == 0
+
+
+def test_driver_fold_cap_raises_typed_error(ray_session, monkeypatch):
+    """Past ops/graph.DRIVER_EDGE_CAP distinct keys the driver fold
+    raises DriverCapExceeded (the cap is read at call time)."""
+    from rhealpixdggs_py_ray.ops import agg, graph
+
+    monkeypatch.setattr(graph, "DRIVER_EDGE_CAP", 1000)
+    for to_driver in (agg.sum_to_driver, agg.max_to_driver):
+        with pytest.raises(graph.DriverCapExceeded, match="to_driver"):
+            to_driver(_fold_blocks(n_blocks=4), "k", "v")

@@ -450,6 +450,21 @@ def test_driver_cap_raises_typed_error(ray_session, monkeypatch):
         Q.q_random_walks(SF)
 
 
+def test_driver_node_cap_raises_typed_error(ray_session, monkeypatch):
+    """The dense Nn x Nn driver queries raise DriverCapExceeded past
+    ops/graph.DRIVER_NODE_CAP, read at call time (neither has a
+    distributed route)."""
+    import pytest
+    from rhealpixdggs_py_ray.ops import graph
+    from rhealpixdggs_py_ray.pipelines import queries as Q
+
+    monkeypatch.setattr(graph, "DRIVER_NODE_CAP", 0)
+    for name in ("adamic_adar", "zero_support_edges"):
+        with pytest.raises(graph.DriverCapExceeded,
+                           match=f"{name}: .* nodes exceed"):
+            getattr(Q, "q_" + name)(SF)
+
+
 def test_driver_cap_survives_python_O():
     """The cap is a raise, not an assert: ``python -O`` keeps it."""
     import os
@@ -466,3 +481,25 @@ def test_driver_cap_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
                          capture_output=True, text=True, cwd=repo).stdout
     assert out.startswith("raised probe: 2 rows exceed the driver cap 1")
+
+
+def test_package_has_no_assert_statements():
+    """``python -O`` strips ``assert``: package code states every bound
+    and invariant as an explicit raise (CLAUDE.md "Never `assert` a
+    cap")."""
+    import ast
+    import os
+
+    pkg = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "rhealpixdggs_py_ray")
+    found = []
+    for root, _dirs, files in os.walk(pkg):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(root, name)
+                with open(path) as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                found += [f"{os.path.relpath(path, pkg)}:{node.lineno}"
+                          for node in ast.walk(tree)
+                          if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in package code: {found}"
