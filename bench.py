@@ -80,7 +80,7 @@ def run_headline(num_cpus: int, rows: int) -> dict:
     from rhealpixdggs_py_ray.core import suid as su
     from rhealpixdggs_py_ray.core.config import WGS84_003
     from rhealpixdggs_py_ray.fixtures import phash_to_lonlat, splitmix64
-    from rhealpixdggs_py_ray.stages.join import make_cover_ref
+    from rhealpixdggs_py_ray.stages.join import CoverSemiJoin, make_cover_ref
 
     # Fixed 2M span, even when that undersubscribes the pool (16 spans
     # for 32 actors at the 32M-row bench): interleaved A/B measured
@@ -95,12 +95,11 @@ def run_headline(num_cpus: int, rows: int) -> dict:
 
     class IndexJoinCombine:
         """Fused hot stage: span -> ids -> phash -> (lon, lat) ->
-        res-9 cell -> cover semi-join (broadcast searchsorted) ->
-        per-span tile partials."""
+        res-9 cell -> cover semi-join (the shipped CoverSemiJoin probe
+        on the broadcast bitmap) -> per-span tile partials."""
 
         def __init__(self, cover_ref, cover_res: int, tile_res: int):
-            self.keys = ray.get(cover_ref)
-            self.cover_res = cover_res
+            self.semi = CoverSemiJoin(cover_ref, cover_res)
             self.tile_res = tile_res
             self.n_ranks = su.num_tile_ranks(tile_res)
             WGS84_003._tables()
@@ -117,11 +116,7 @@ def run_headline(num_cpus: int, rows: int) -> dict:
                     phash = splitmix64(i).view(np.int64)
                     lon, lat = phash_to_lonlat(phash)
                     u = idx.cell_from_point(WGS84_003, 9, lon, lat, plane=False)
-                    anc = su.parent(u, self.cover_res)
-                    pos = np.minimum(
-                        np.searchsorted(self.keys, anc), len(self.keys) - 1
-                    )
-                    u = u[self.keys[pos] == anc]
+                    u = u[self.semi.hits(u)]
                     rank = su.tile_rank(u, self.tile_res)
                     counts += np.bincount(rank, minlength=self.n_ranks)
             hit = np.flatnonzero(counts)
@@ -178,7 +173,6 @@ def run_payload(num_cpus: int, n_rows: int = 20_000) -> dict:
 
     ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
              logging_level="error")
-    import numpy as np
     import pyarrow as pa
 
     from rhealpixdggs_py_ray.fixtures import write_images_table

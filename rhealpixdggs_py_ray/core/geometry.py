@@ -74,6 +74,32 @@ def points_in_polygon(px: np.ndarray, py: np.ndarray, poly: Polygon) -> np.ndarr
     return inside
 
 
+def boxes_touch_polygon(x_lo, x_hi, y_lo, y_hi, poly: Polygon) -> np.ndarray:
+    """Per closed box [x_lo, x_hi] x [y_lo, y_hi]: does any edge of the
+    polygon's shell or holes meet it?  Separating axes: an edge misses
+    a box when their bounding boxes miss or all four box corners lie
+    strictly on one side of the edge's line.  Non-finite boxes count
+    as touching."""
+    touch = ~(np.isfinite(x_lo) & np.isfinite(x_hi) & np.isfinite(y_lo) & np.isfinite(y_hi))
+    with np.errstate(invalid="ignore"):
+        for ring in [poly.shell, *poly.holes]:
+            n = len(ring)
+            for i in range(n):
+                x1, y1 = ring[i]
+                x2, y2 = ring[(i + 1) % n]
+                hit = (
+                    (max(x1, x2) >= x_lo) & (min(x1, x2) <= x_hi)
+                    & (max(y1, y2) >= y_lo) & (min(y1, y2) <= y_hi)
+                )
+                dx, dy = x2 - x1, y2 - y1
+                sides = [dx * (cy - y1) - dy * (cx - x1)
+                         for cx in (x_lo, x_hi) for cy in (y_lo, y_hi)]
+                above = (sides[0] > 0) & (sides[1] > 0) & (sides[2] > 0) & (sides[3] > 0)
+                below = (sides[0] < 0) & (sides[1] < 0) & (sides[2] < 0) & (sides[3] < 0)
+                touch |= hit & ~above & ~below
+    return touch
+
+
 def segments_intersect(p1, p2, p3, p4) -> bool:
     """Proper + collinear-touching segment intersection (the semantics
     shapely's ``intersects`` gives the reference's line walks)."""

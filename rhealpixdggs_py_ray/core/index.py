@@ -20,6 +20,7 @@ import numpy as np
 from rhealpixdggs_py_ray.core import projection as prj
 from rhealpixdggs_py_ray.core import suid as su
 from rhealpixdggs_py_ray.core.config import EngineConfig
+from rhealpixdggs_py_ray.core.utils import wrap_longitude
 
 INVALID = np.uint64(0xFFFFFFFFFFFFFFFF)  # sentinel for "no cell" (off-grid)
 
@@ -437,6 +438,68 @@ def centroid(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
         lon[dart] = nl
         lat[dart] = integ / area
     return lon, lat
+
+
+# How far a centroid box reaches past its computed extremes, in the
+# config's angle unit: far above the rounding of the inverse projection
+# and of the quadrature sums (~1e-11 degrees), far below a cell width.
+CENTROID_BOX_MARGIN = 1e-9
+
+
+def centroid_box(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
+    """Closed boxes (x_lo, x_hi, y_lo, y_hi) that each contain the
+    cell's ``centroid`` (N_side 3).  Planar, quad and cap centroids are
+    cheap and come back exactly (lo == hi).  Skew and dart cells skip
+    their quadrature: on a polar face, latitude is a monotone function
+    of the Chebyshev distance from the face centre and constant
+    longitude is a ray from it, so the cell's latitudes span those at
+    its corners and at its point nearest the centre, and a skew quad's
+    longitudes (one polar triangle) span its corners'.  The quadrature
+    averages those values with positive weights; the box adds
+    CENTROID_BOX_MARGIN.  A box that would cross the seam, or a
+    recentred latitude, is infinite."""
+    if plane:
+        x, y = centroid(cfg, u, plane=True)
+        return x, x, y, y
+    n = u.shape[0]
+    shape = shape_of(cfg, u)
+    polar = np.flatnonzero((shape == SHAPE_SKEW) | (shape == SHAPE_DART))
+    cheap = np.flatnonzero((shape == SHAPE_QUAD) | (shape == SHAPE_CAP))
+    x_lo, x_hi, y_lo, y_hi = (np.empty(n) for _ in range(4))
+    lon, lat = centroid(cfg, u.take(cheap), plane=False)
+    x_lo[cheap] = x_hi[cheap] = lon
+    y_lo[cheap] = y_hi[cheap] = lat
+    if polar.size:
+        uh = u.take(polar)
+        v = vertices_plane(cfg, uh)  # ul, ur, dr, dl
+        face = su.face_of(uh)
+        w0 = cfg.cell_width(0)
+        fx = cfg.ul_vertex[face, 0] + w0 / 2
+        fy = cfg.ul_vertex[face, 1] - w0 / 2
+        near_x = np.clip(fx, v[:, 0, 0], v[:, 1, 0])
+        near_y = np.clip(fy, v[:, 2, 1], v[:, 0, 1])
+        px = np.concatenate([v[:, :, 0], near_x[:, None]], axis=1)
+        py = np.concatenate([v[:, :, 1], near_y[:, None]], axis=1)
+        plon, plat, _ = prj.inverse(cfg, px.ravel(), py.ravel())
+        plon = plon.reshape(-1, 5)
+        plat = plat.reshape(-1, 5)
+        nl, _ = nucleus(cfg, uh, plane=False)
+        # Longitudes as seen from the nucleus, so a corner on the seam
+        # counts on the cell's side of it.
+        with np.errstate(invalid="ignore"):  # off-grid corners are inf
+            plon = nl[:, None] + wrap_longitude(plon - nl[:, None], radians=cfg.radians)
+        dart = shape.take(polar) == SHAPE_DART
+        lo = np.where(dart, nl, plon.min(axis=1))
+        hi = np.where(dart, nl, plon.max(axis=1))
+        half = cfg.pi()
+        bad = ~np.isfinite(plat).all(axis=1) | ~np.isfinite(plon).all(axis=1)
+        bad |= (lo < -half) | (hi > half) | (cfg.lat_0 != 0)
+        m = CENTROID_BOX_MARGIN
+        x_lo[polar] = np.where(bad, -np.inf, lo - m)
+        x_hi[polar] = np.where(bad, np.inf, hi + m)
+        y_lo[polar] = np.where(bad, -np.inf, plat.min(axis=1) - m)
+        y_hi[polar] = np.where(bad, np.inf, plat.max(axis=1) + m)
+    return x_lo, x_hi, y_lo, y_hi
 
 
 def cell_from_region(

@@ -688,8 +688,7 @@ def ann_topk_ivfpq(emb_ds, n_queries: int = 10, k: int = 5, n_lists: int = 16,
     (pipelines.qbase._pq_codebook), so the whole chain — pruning,
     encoding, ADC ranking — replays exactly in SQL.  Output (qid,
     vec_id, rank, adc)."""
-    from rhealpixdggs_py_ray.pipelines.qbase import (
-        PQ_D, PQ_K, PQ_M, _pq_codebook)
+    from rhealpixdggs_py_ray.pipelines.qbase import PQ_D, PQ_M, _pq_codebook
 
     _, C = _ivf_seed_centroids(emb_ds, n_lists)
     qids, Q = _gather_queries(emb_ds, n_queries)

@@ -791,7 +791,6 @@ def q_mmr_rerank(sf_dir: str):
     vec_id, step, score)."""
     from rhealpixdggs_py_ray.ops import ann
     from rhealpixdggs_py_ray.ops.ann import _seq_dots, _seq_norm
-    from rhealpixdggs_py_ray.ops.dedup import _emb_matrix
 
     emb = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     cands = ann.ann_topk(emb, n_queries=MMR_NQ, k=MMR_C).to_pandas()

@@ -1099,8 +1099,6 @@ def q_dedup_containment(sf_dir: str):
     quoted inside a long one, which symmetric Jaccard dilutes away.
     Same fused 3-exchange inverted-index plumbing as ngram_jaccard
     (ops/dedup.py:928) — only the resolve formula differs."""
-    from rhealpixdggs_py_ray.ops import dedup
-
     return _containment_pairs(sf_dir)
 
 

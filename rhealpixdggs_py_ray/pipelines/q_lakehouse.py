@@ -754,8 +754,6 @@ def q_source_cap(sf_dir: str):
     bucket exchange; the per-bucket resolve ranks every source of the
     bucket in one segmented vectorized pass.  Output (doc_id, source,
     rank, keep)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"], blocks=4)
     nb = 8
 
@@ -881,7 +879,6 @@ def q_merkle_tiles(sf_dir: str):
     divergent tiles in O(log) probes.  Upper levels are grid-bounded
     driver work.  Output (res, tile_id, digest) with res -1 = root."""
     from rhealpixdggs_py_ray.core import index as cidx
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
     from rhealpixdggs_py_ray.ops.dedup import md5_u64, md5_u64_many
 
     ds = _read(sf_dir, "events", columns=["event_id"])
@@ -1014,7 +1011,6 @@ def q_pruned_scan(sf_dir: str):
     columns ever leave storage — the prune-at-the-read discipline the
     100 TB target demands.  Output: per-status order counts + total
     cents among 1996 orders."""
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     lo = np.datetime64("1996-01-01T00:00:00", "us")

@@ -13,10 +13,7 @@ def q_image_pipeline(sf_dir: str):
     per-face tile counts.  The oracle recomputes faces from phash and
     channel means from the generative pixel formula in SQL (see
     _image_src_sql), so the decode chain is value-hash verified."""
-    import os
-
     from rhealpixdggs_py_ray.fixtures import write_images_table
-    from rhealpixdggs_py_ray.pipelines.flagship import index_images
     from rhealpixdggs_py_ray.stages.indexer import PayloadVerifier
 
     n = 2000
@@ -66,8 +63,6 @@ def q_image_pipeline(sf_dir: str):
 def q_image_features(sf_dir: str):
     """Multimodal feature pipeline: decode -> resize(32x32) -> channel
     stats + pixel phash (ops/multimodal.py) -> per-face aggregates."""
-    import os
-
     from rhealpixdggs_py_ray.fixtures import write_images_table
     from rhealpixdggs_py_ray.ops.multimodal import DecodeResizeFeatures
     from rhealpixdggs_py_ray.stages.indexer import CellIndexer

@@ -882,8 +882,6 @@ def q_hierarchy(sf_dir: str):
     """Per res-3 grid cell: parent (res 2) and center child (res 5) —
     rhp_to_parent / rhp_to_center_child (rhp_wrappers.py:123-215) as
     u64 mask/append kernels."""
-    from rhealpixdggs_py_ray.core import wrappers as W
-
     b = CFG.N_side**2
     total = 6 * b**3
     base = 6 * (b**3 - 1) // (b - 1)

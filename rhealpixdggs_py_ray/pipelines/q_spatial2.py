@@ -3990,8 +3990,6 @@ def q_tile_cross_density(sf_dir: str):
     fold map-side to <= #tiles partial rows, the join is a driver
     tiny-merge over the bounded tile key space — never a shuffle
     join.  Output (tile_id, n_events, n_images, ratio_e6)."""
-    import pyarrow.compute as pc
-
     from rhealpixdggs_py_ray.core import index as cidx
     from rhealpixdggs_py_ray.fixtures import phash_to_lonlat, write_images_table
 

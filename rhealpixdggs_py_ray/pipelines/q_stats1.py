@@ -2849,8 +2849,6 @@ def q_quota_sample(sf_dir: str):
     exchange; the per-source quota table is bounded (one row per
     source) and broadcast; selection reuses the segmented-rank resolve.
     Output (doc_id, source, rank, quota)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     ds = _read(sf_dir, "documents", columns=["doc_id", "source"], blocks=4)
     nb = 8
 
@@ -4597,8 +4595,6 @@ def q_distance_decay(sf_dir: str):
     transitions, one u64 flow fold, bounded (<= eq-lattice^2 = 104k
     pair rows) driver finish.  Output one row (n_pairs, n_moves,
     slope_e6, intercept_e6)."""
-    import math
-
     from rhealpixdggs_py_ray.core import index as cidx
     from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64, sum_to_driver
 

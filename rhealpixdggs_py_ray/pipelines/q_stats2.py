@@ -1636,8 +1636,6 @@ def q_extreme_values(sf_dir: str):
     Output (event_type, k_blocks, mu_e3, beta_e3)."""
     import math
 
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"],
                blocks=4)
     nb = 4
@@ -2562,8 +2560,6 @@ def q_spearman_rho(sf_dir: str):
     corr^2 + sign; ranks are small ints so everything fits).
     Per-user totals ride one u64 fold; ranking is a bounded driver
     sort.  Output (n_users, sign_num, rho2_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     ds = _read(sf_dir, "events", columns=["user_id", "value"], blocks=4)
 
     def part(batch: pa.Table) -> pa.Table:
@@ -4642,8 +4638,6 @@ def q_brand_hhi(sf_dir: str):
     total^2 exactly (bignum == HUGEINT).  lineitem ⋈ part rides the
     bucketed join; the brand fold is bounded.
     Output (n_brands, total_cents, hhi_e6)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     nb = 8
     li = _read(sf_dir, "lineitem",
                columns=["l_partkey", "l_extendedprice"], blocks=4)

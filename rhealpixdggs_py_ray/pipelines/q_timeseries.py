@@ -1845,8 +1845,6 @@ def q_binseg_changepoint(sf_dir: str):
     asc) needs no floats at all.  Daily sums ride one bucketed fold;
     each type's series (bounded by the day count) resolves
     vectorized.  Output (event_type, split_day, score_q, n_days)."""
-    from rhealpixdggs_py_ray.ops.agg import hash_bucket_u64
-
     ds = _read(sf_dir, "events", columns=["ts", "event_type", "value"],
                blocks=4)
     nb = 4

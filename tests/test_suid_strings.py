@@ -2,10 +2,11 @@
 
 ``su.to_string_fixed`` builds its ``pa.StringArray`` straight from the
 fixed-width digit buffer; ``su.to_string`` does the same for mixed
-resolutions.  ``make_cover_ref`` takes polyfill's uint64 core without
+resolutions.  ``make_cover_ref`` builds its prefix bitmap without
 formatting a string.  Cover goldens are SHA-256 digests of the sorted
 keys built by the string round trip (polyfill -> sorted ->
-``from_string``) before the core split.
+``from_string``) before the core split; ``cover_cells`` reads them back
+from the bitmap.
 """
 
 from __future__ import annotations
@@ -102,10 +103,10 @@ def test_string_builders_refuse_past_the_limit(monkeypatch):
 def test_cover_keys_match_string_polyfill(ray_session, geom, res, n, sha):
     import ray
 
-    from rhealpixdggs_py_ray.stages.join import make_cover_ref
+    from rhealpixdggs_py_ray.stages.join import cover_cells, make_cover_ref
 
     ref, n_cells = make_cover_ref(geom, res)
-    keys = ray.get(ref)
+    keys = cover_cells(ray.get(ref), res)
     assert keys.dtype == np.uint64 and n_cells == len(keys) == n
     assert hashlib.sha256(keys.tobytes()).hexdigest() == sha
     strings = W.polyfill(geom, res, plane=False)
@@ -115,11 +116,11 @@ def test_cover_keys_match_string_polyfill(ray_session, geom, res, n, sha):
 def test_cover_of_malformed_geometry_is_empty(ray_session):
     import ray
 
-    from rhealpixdggs_py_ray.stages.join import make_cover_ref
+    from rhealpixdggs_py_ray.stages.join import cover_cells, make_cover_ref
 
     assert W.polyfill(BOWTIE, 2, plane=False) is None
     ref, n_cells = make_cover_ref(BOWTIE, 2)
-    keys = ray.get(ref)
+    keys = cover_cells(ray.get(ref), 2)
     assert n_cells == 0 and keys.dtype == np.uint64 and len(keys) == 0
 
 

@@ -11,6 +11,8 @@ Usage: python tools/check_queries.py [sf_dir] [query ...]
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
 import time
 
@@ -22,6 +24,20 @@ import ray
 TABLES = (
     "region nation customer supplier part orders lineitem events documents embeddings"
 ).split()
+SPILL_DIR = "/tmp/duck_spill"
+
+
+def duckdb_limits(spill_dir: str = SPILL_DIR) -> tuple[int, int]:
+    """(memory_limit, max_temp_directory_size) in bytes: half of this
+    host's physical memory (Ray's workers share the rest) and half of
+    the free disk under the spill directory.  An oracle past either
+    limit raises in DuckDB, which reports as one FAIL line, instead of
+    the process being OOM-killed or the disk filling."""
+    mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    parent = spill_dir
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    return mem // 2, shutil.disk_usage(parent).free // 2
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -99,8 +115,10 @@ def main():
     con = duckdb.connect()
     # heavy oracles (k_truss wedge joins at sf0.1) need disk spill;
     # an in-memory connection has no temp dir and dies OOM instead
-    con.execute("SET temp_directory='/tmp/duck_spill'")
-    con.execute("SET memory_limit='48GiB'")
+    mem, spill = duckdb_limits()
+    con.execute(f"SET temp_directory='{SPILL_DIR}'")
+    con.execute(f"SET memory_limit='{mem >> 20}MiB'")
+    con.execute(f"SET max_temp_directory_size='{spill >> 20}MiB'")
     for t in TABLES:
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
 

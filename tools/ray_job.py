@@ -52,7 +52,6 @@ def main() -> int:
             kwargs["num_cpus"] = args.num_cpus
         ray.init(**kwargs)
 
-    import numpy as np
     import pyarrow as pa
 
     from rhealpixdggs_py_ray.core import index as idx
