@@ -138,6 +138,20 @@ def _auth_lat_coeffs_inverse(n: float) -> tuple[float, ...]:
     return (c1, c2, c3, c4, c5, c6)
 
 
+def _auth_sin_coeffs(e: float) -> tuple[float, ...]:
+    """a_k of sin(beta) = sum_k a_k sin(phi)**(2k+1), the authalic
+    latitude's closed form q(phi) / q_p (reference utils.py:157-175)
+    expanded in e**2: with s = sin(phi),
+    q = (1 - e**2) sum_k (2k + 2) / (2k + 1) e**(2k) s**(2k+1),
+    so a_k = c_k / sum_j c_j, c_k = (2k + 2) / (2k + 1) e**(2k).  The
+    terms stop below 1e-20 (10 of them for WGS84); for e**2 < 0.02 the
+    tail they drop is below 2e-20."""
+    e2 = e * e
+    c = [(2 * k + 2) / (2 * k + 1) * e2**k for k in range(200)]
+    q_p = math.fsum(c)
+    return tuple(ck / q_p for ck in c if ck >= 1e-20)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Frozen DGGS parameterization (ellipsoid + grid layout).
@@ -253,6 +267,12 @@ class EngineConfig:
     def auth_coeffs_inv(self) -> np.ndarray:
         return self._tables().auth_inv
 
+    @property
+    def auth_sin_coeffs(self) -> tuple[float, ...] | None:
+        """``_auth_sin_coeffs`` of this ellipsoid where ``auth_lat``
+        takes its series branch (e > 0, f <= 1/150), else None."""
+        return self._tables().auth_sin
+
 
 class _Tables:
     """Precomputed integer lookup tables for one grid parameterization."""
@@ -349,6 +369,9 @@ class _Tables:
             n3 = (1 - math.sqrt(1 - e**2)) / (1 + math.sqrt(1 - e**2))
         self.auth_fwd = np.array(_auth_lat_coeffs_forward(n3), dtype=np.float64)
         self.auth_inv = np.array(_auth_lat_coeffs_inverse(n3), dtype=np.float64)
+        # auth_lat's branch rule, on the f it derives from e.
+        series = e != 0 and not abs(1 - math.sqrt(1 - e**2)) > 1 / 150
+        self.auth_sin = _auth_sin_coeffs(e) if series else None
 
 
 _TABLE_CACHE: dict = {}

@@ -39,15 +39,82 @@ def cell_from_point(
     ``x, y`` are planar meters when ``plane`` else (lon, lat) in the
     config's angle unit.  Returns packed uint64 cells; INVALID marks
     off-grid points.  Resolutions past ``su.MAX_PACK_RESOLUTION`` raise
-    ValueError, as ``su.pack`` does.
+    ValueError, as ``su.pack`` does.  (lon, lat) on an ellipsoid of the
+    authalic series branch take ``_cell_from_lonlat``'s filter and
+    refine; its cells equal those of ``forward`` + the planar step.
     """
     if resolution > su.MAX_PACK_RESOLUTION:
         raise ValueError(f"resolution {resolution} > {su.MAX_PACK_RESOLUTION}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not plane:
+        if cfg.auth_sin_coeffs is not None:
+            return _cell_from_lonlat(cfg, resolution, x, y)[0]
         x, y = prj.forward(cfg, x, y)
+    return _plane_cells(cfg, resolution, x, y)[0]
 
+
+# Filter-and-refine bounds, in unit-sphere planar units (the plane
+# before the R_A scaling); see _cell_from_lonlat.
+_SIN_BETA_ERR = 1e-14  # bound on |sin beta (one sine) - sin beta (forward)|
+_POLE_GUARD = 1e-6  # rows with |sin beta| > 1 - _POLE_GUARD are refined
+_REFINE_MARGIN = 1.5e-10  # rows this close to a grid line are refined
+
+
+def _cell_from_lonlat(cfg: EngineConfig, resolution: int, lon: np.ndarray, lat: np.ndarray):
+    """cell_from_point on (lon, lat), filter and refine: the planar step
+    runs on ``prj._forward_one_sine``'s approximate (x, y), and every
+    row whose cell that error could change is recomputed through the
+    exact ``forward`` + planar step.  Returns (cells, rows refined).
+
+    Error bound.  The one-sine sin(beta) and the sin of forward's
+    series beta differ by at most 2.2e-16 (one ulp at 1) over 6M
+    latitudes, dense and random, for WGS84 and f = 1/150.5; a rounding
+    estimate of the two chains gives ~1e-15.  _SIN_BETA_ERR takes
+    1e-14.  Both paths share lambda, the branch formulas, the
+    rotation and R_A, so the planar error comes from sin(beta) alone:
+    3 pi / 8 * err in the band; in the caps, through
+    sigma = sqrt(3 (1 - |sin beta|)), at most pi / 4 * 3 err / sigma
+    per coordinate, which grows without bound at the poles (sigma -> 0;
+    with N_side 2 the pole is a grid vertex at every resolution).  So
+    a row is refined when
+    - it is within _REFINE_MARGIN of a res-r grid line (face edges are
+      grid lines too, so this covers the face and the cell);
+    - | |sin beta| - 2/3 | <= _SIN_BETA_ERR (the two paths may take
+      different branches; such a row is also within the margin of the
+      face edge |y| = pi/4, but the branch argument does not lean on
+      that);
+    - |sin beta| > 1 - _POLE_GUARD;
+    - its cell is INVALID.
+    Outside the guards sigma >= sqrt(3e-6), so the worst-case planar
+    error is 1.4e-11 (9e-5 m on WGS84) against a margin of 1.5e-10
+    (0.96 mm): a ratio of 11 at the pole guard, ~1e4 in the band.  The
+    largest error measured, over 2M points uniform on the sphere plus
+    2M with 1 - |sin beta| in [1e-6, 1e-3], was 7.6e-14 (4.8e-7 m,
+    next to the pole guard) for WGS84, N_side 2 and f = 1/150.5: a
+    ratio of ~2,000.  The margin refines about 4 * 1.5e-10 / (pi / 2)
+    * N**r of the rows: 7.5e-6 at res 9, 1.8e-3 at res 14 (N = 3).
+    """
+    x, y, sin_beta = prj._forward_one_sine(cfg, lon, lat)
+    u, gx, gy = _plane_cells(cfg, resolution, x, y)
+    m = _REFINE_MARGIN / (math.pi / 2) * cfg.N_side**resolution  # in res-r cell widths
+    refine = np.abs(gx - np.rint(gx)) < m
+    refine |= np.abs(gy - np.rint(gy)) < m
+    refine |= np.abs(sin_beta - 2 / 3) <= _SIN_BETA_ERR
+    refine |= sin_beta > 1 - _POLE_GUARD
+    refine |= u == INVALID
+    at = np.flatnonzero(refine)
+    if at.size:
+        xe, ye = prj.forward(cfg, lon.take(at), lat.take(at))
+        u[at] = _plane_cells(cfg, resolution, xe, ye)[0]
+    return u, at.size
+
+
+def _plane_cells(cfg: EngineConfig, resolution: int, x: np.ndarray, y: np.ndarray):
+    """cell_from_point's planar step on float64 (x, y) meters.  Returns
+    (cells, gx, gy): gx, gy are each point's offsets from its face's
+    ul vertex in res-r cell widths, before the border fuzz at dx == 1,
+    so the res-r grid lines (face edges included) are the integers."""
     ns = cfg.north_square % 4
     ss = cfg.south_square % 4
     R = cfg.R_A
@@ -73,27 +140,29 @@ def cell_from_point(
     column = sum((x >= R * lo).view(np.int8) for lo in (-pi, -pi / 2, 0.0, pi / 2))
     column *= (eq_band & (x < R * pi)).view(np.int8)
     fidx = column + 5 * south.view(np.int8)
-    valid = (column > 0) | north | south
-
-    if resolution == 0:
-        out = fidx.astype(np.uint64) << np.uint64(60)
-        out[np.flatnonzero(~valid)] = INVALID
-        return out
+    invalid = np.flatnonzero(~((column > 0) | north | south))
 
     # Fractional offsets from the face's ul vertex (dggs.py:803-814).
     w = cfg.cell_width(0)
-    ulx = cfg.ul_vertex[fidx, 0]
-    uly = cfg.ul_vertex[fidx, 1]
-    dx = np.abs(x - ulx) / w
-    dy = np.abs(y - uly) / w
-    smidgen = 0.5 * cfg.cell_width(cfg.max_resolution) / w
-    for d in (dx, dy):
-        d[np.flatnonzero(d == 1)] -= smidgen
-
+    ul = cfg.ul_vertex
+    dx = np.abs(x - ul[:, 0].take(fidx)) / w
+    dy = np.abs(y - ul[:, 1].take(fidx)) / w
     N = cfg.N_side
     scale = float(N**resolution)
-    row = (dy * scale).astype(np.int64)  # trunc toward zero == int()
-    col = (dx * scale).astype(np.int64)
+    gx = dx * scale
+    gy = dy * scale
+    if resolution == 0:
+        out = fidx.astype(np.uint64) << np.uint64(60)
+        out[invalid] = INVALID
+        return out, gx, gy
+
+    # int(d * scale) truncates toward zero, as int() does; d == 1 first
+    # moves in by the smidgen.
+    smidgen = 0.5 * cfg.cell_width(cfg.max_resolution) / w
+    col = gx.astype(np.int64)
+    row = gy.astype(np.int64)
+    for d, rc in ((dx, col), (dy, row)):
+        rc[np.flatnonzero(d == 1)] = int((1.0 - smidgen) * scale)
 
     # Level-i digit is child_order[(r, c)] = r*N + c of the i-th base-N
     # digits of (row, col); N*N <= 16, so N * spread(row) + spread(col)
@@ -104,22 +173,33 @@ def cell_from_point(
         | (digits << np.uint64(60 - 4 * resolution))
         | np.uint64(resolution)
     )
-    out[np.flatnonzero(~valid)] = INVALID
-    return out
+    out[invalid] = INVALID
+    return out, gx, gy
 
 
-_SPREAD_WIDTH = 5  # base-N digits per table lookup
+_SPREAD_SLOTS = 1 << 16  # most entries of a spread table
 _SPREAD: dict[int, np.ndarray] = {}
 
 
+def _spread_width(N: int) -> int:
+    """Base-N digits per spread-table lookup: the most with N**k <=
+    _SPREAD_SLOTS (10 for N = 3, 16 for N = 2)."""
+    k = 1
+    while N ** (k + 1) <= _SPREAD_SLOTS:
+        k += 1
+    return k
+
+
 def _spread_table(N: int) -> np.ndarray:
-    """uint64[N**5]: entry v holds v's five base-N digits, one per
-    nibble, least significant digit in the lowest nibble."""
+    """uint64[N**k], k = _spread_width(N): entry v holds v's k base-N
+    digits, one per nibble, least significant digit in the lowest
+    nibble."""
     t = _SPREAD.get(N)
     if t is None:
-        v = np.arange(N**_SPREAD_WIDTH, dtype=np.uint64)
+        k = _spread_width(N)
+        v = np.arange(N**k, dtype=np.uint64)
         t = np.zeros_like(v)
-        for j in range(_SPREAD_WIDTH):
+        for j in range(k):
             t |= ((v // np.uint64(N**j)) % np.uint64(N)) << np.uint64(4 * j)
         t.flags.writeable = False
         _SPREAD[N] = t
@@ -128,16 +208,18 @@ def _spread_table(N: int) -> np.ndarray:
 
 def _spread_digits(v: np.ndarray, N: int, resolution: int) -> np.ndarray:
     """The low ``resolution`` base-N digits of int64 ``v``, one per
-    nibble (the per-level ``(v // N**k) % N`` of dggs.py:816-829)."""
+    nibble (the per-level ``(v // N**k) % N`` of dggs.py:816-829): one
+    gather while N**resolution fits the table (res <= 10 at N = 3)."""
     t = _spread_table(N)
-    base = N**_SPREAD_WIDTH
-    v = v % N**resolution
-    if resolution <= _SPREAD_WIDTH:
-        return t[v]
-    out = t[v % base]
-    for k in range(1, -(-resolution // _SPREAD_WIDTH)):
+    width = _spread_width(N)
+    v = v % N**resolution  # dy just past 1 gives N**res: wrap it to 0
+    if resolution <= width:
+        return t.take(v)
+    base = N**width
+    out = t.take(v % base)
+    for k in range(1, -(-resolution // width)):
         v = v // base
-        out |= t[v % base] << np.uint64(4 * _SPREAD_WIDTH * k)
+        out |= t.take(v % base) << np.uint64(4 * width * k)
     return out
 
 
@@ -328,13 +410,19 @@ def vertices(
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(30)
 
+# Skew and dart cells per quadrature pass: 256 cells are 230,400 inverse
+# projections, ~1.8 MB per float64 temporary, whatever the batch size.
+_CENTROID_CHUNK = 256
+
 
 def centroid(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
     """Cell centroid (cell.py:1061-1147).  The reference's adaptive
     ``scipy.integrate.dblquad`` over the inverse projection (dart /
     skew_quad cells) is replaced by a fixed 30x30 Gauss-Legendre rule on
     the planar square — deterministic, batched, and within ~1e-11 of the
-    reference for these smooth integrands (validated in tests)."""
+    reference for these smooth integrands (validated in tests).  The
+    quadrature runs _CENTROID_CHUNK cells at a time; each cell's sums
+    are its own, so the chunking changes no bit."""
     if plane:
         return nucleus(cfg, u, plane=True)
     n = u.shape[0]
@@ -354,90 +442,92 @@ def centroid(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
             vq = vertices(cfg, u[quad], plane=False)
             lat[quad] = vq[:, :, 1].sum(axis=1) / 4
 
-    skew = shape == SHAPE_SKEW
-    if skew.any():
-        # Skew quads lie inside one polar triangle, so the inverse
-        # projection is smooth over the square: tensor Gauss-Legendre.
-        uh = u[skew]
-        vh = vertices_plane(cfg, uh)
-        x1 = vh[:, :, 0].min(axis=1)
-        x2 = vh[:, :, 0].max(axis=1)
-        y1 = vh[:, :, 1].min(axis=1)
-        y2 = vh[:, :, 1].max(axis=1)
-        area = (x2 - x1) ** 2
-        g = _GL_NODES
-        wgt = _GL_WEIGHTS
-        xm = (x1[:, None] + x2[:, None]) / 2 + (x2 - x1)[:, None] / 2 * g[None, :]
-        ym = (y1[:, None] + y2[:, None]) / 2 + (y2 - y1)[:, None] / 2 * g[None, :]
-        m = uh.shape[0]
-        k = g.shape[0]
-        X = np.repeat(xm[:, :, None], k, axis=2)  # (m, kx, ky)
-        Y = np.repeat(ym[:, None, :], k, axis=1)
-        lo, la, _ = prj.inverse(cfg, X.ravel(), Y.ravel())
-        lo = lo.reshape(m, k, k)
-        la = la.reshape(m, k, k)
-        W2 = wgt[None, :, None] * wgt[None, None, :]
-        jac = ((x2 - x1) / 2 * (y2 - y1) / 2)[:, None, None]
-        lat[skew] = (la * W2 * jac).sum(axis=(1, 2)) / area
-        lon[skew] = (lo * W2 * jac).sum(axis=(1, 2)) / area
-
-    dart = shape == SHAPE_DART
-    if dart.any():
-        # A dart cell's square is bisected by a polar-square diagonal,
-        # across which the inverse projection has a derivative kink
-        # (triangle boundary, pj_rhealpix.py:220-257).  Integrate the
-        # latitude over the two smooth triangle halves separately
-        # (Duffy-mapped Gauss rule per triangle); longitude is the
-        # nucleus longitude (cell.py:1104-1109).
-        uh = u[dart]
-        vh = vertices_plane(cfg, uh)  # (m, 4, 2): ul, ur, dr, dl
-        m = uh.shape[0]
-        ul_, ur_, dr_, dl_ = vh[:, 0], vh[:, 1], vh[:, 2], vh[:, 3]
-        cx = (ul_[:, 0] + ur_[:, 0]) / 2
-        cy = (ul_[:, 1] + dl_[:, 1]) / 2
-        w = ur_[:, 0] - ul_[:, 0]
-        # Which diagonal of the polar square passes through the center?
-        # Rising (slope +1) runs dl->ur; falling (slope -1) runs ul->dr.
-        fx = cfg.ul_vertex[su.face_of(uh), 0] + cfg.cell_width(0) / 2
-        fy = cfg.ul_vertex[su.face_of(uh), 1] - cfg.cell_width(0) / 2
-        rising = np.abs((cy - fy) - (cx - fx)) <= np.abs((cy - fy) + (cx - fx))
-        # Triangle pairs sharing the bisecting diagonal.
-        A1 = np.where(rising[:, None], ul_, ur_)
-        B1 = np.where(rising[:, None], dl_, ul_)
-        C1 = np.where(rising[:, None], ur_, dr_)
-        A2 = np.where(rising[:, None], dr_, dl_)
-        B2 = np.where(rising[:, None], dl_, ul_)
-        C2 = np.where(rising[:, None], ur_, dr_)
-        area = w * w
-
-        def tri_integral(A, B, C):
-            # Duffy map of the GL square onto triangle (A, B, C).
-            s = (_GL_NODES + 1) / 2  # [0, 1]
-            ws = _GL_WEIGHTS / 2
-            S = s[None, :, None]
-            T = s[None, None, :]
-            WT = (ws[:, None] * ws[None, :])[None, :, :]
-            px = A[:, 0, None, None] + S * (
-                (1 - T) * (B[:, 0, None, None] - A[:, 0, None, None])
-                + T * (C[:, 0, None, None] - A[:, 0, None, None])
-            )
-            py = A[:, 1, None, None] + S * (
-                (1 - T) * (B[:, 1, None, None] - A[:, 1, None, None])
-                + T * (C[:, 1, None, None] - A[:, 1, None, None])
-            )
-            detJ = np.abs(
-                (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1])
-                - (C[:, 0] - A[:, 0]) * (B[:, 1] - A[:, 1])
-            )
-            _, la, _ = prj.inverse(cfg, px.ravel(), py.ravel())
-            la = la.reshape(px.shape)
-            return (la * WT * S).sum(axis=(1, 2)) * detJ
-
-        integ = tri_integral(A1, B1, C1) + tri_integral(A2, B2, C2)
-        nl, _ = nucleus(cfg, uh, plane=False)
-        lon[dart] = nl
-        lat[dart] = integ / area
+    for code, integrate in ((SHAPE_SKEW, _skew_centroid), (SHAPE_DART, _dart_centroid)):
+        rows = np.flatnonzero(shape == code)
+        for i in range(0, rows.size, _CENTROID_CHUNK):
+            at = rows[i:i + _CENTROID_CHUNK]
+            lon[at], lat[at] = integrate(cfg, u.take(at))
     return lon, lat
+
+
+def _skew_centroid(cfg: EngineConfig, uh: np.ndarray):
+    """(lon, lat) centroids of skew-quad cells.  A skew quad lies inside
+    one polar triangle, so the inverse projection is smooth over the
+    square: tensor Gauss-Legendre."""
+    vh = vertices_plane(cfg, uh)
+    x1 = vh[:, :, 0].min(axis=1)
+    x2 = vh[:, :, 0].max(axis=1)
+    y1 = vh[:, :, 1].min(axis=1)
+    y2 = vh[:, :, 1].max(axis=1)
+    area = (x2 - x1) ** 2
+    g = _GL_NODES
+    wgt = _GL_WEIGHTS
+    xm = (x1[:, None] + x2[:, None]) / 2 + (x2 - x1)[:, None] / 2 * g[None, :]
+    ym = (y1[:, None] + y2[:, None]) / 2 + (y2 - y1)[:, None] / 2 * g[None, :]
+    m = uh.shape[0]
+    k = g.shape[0]
+    X = np.repeat(xm[:, :, None], k, axis=2)  # (m, kx, ky)
+    Y = np.repeat(ym[:, None, :], k, axis=1)
+    lo, la, _ = prj.inverse(cfg, X.ravel(), Y.ravel())
+    lo = lo.reshape(m, k, k)
+    la = la.reshape(m, k, k)
+    W2 = wgt[None, :, None] * wgt[None, None, :]
+    jac = ((x2 - x1) / 2 * (y2 - y1) / 2)[:, None, None]
+    return (lo * W2 * jac).sum(axis=(1, 2)) / area, (la * W2 * jac).sum(axis=(1, 2)) / area
+
+
+def _dart_centroid(cfg: EngineConfig, uh: np.ndarray):
+    """(lon, lat) centroids of dart cells.  A dart cell's square is
+    bisected by a polar-square diagonal, across which the inverse
+    projection has a derivative kink (triangle boundary,
+    pj_rhealpix.py:220-257).  Integrate the latitude over the two smooth
+    triangle halves separately (Duffy-mapped Gauss rule per triangle);
+    longitude is the nucleus longitude (cell.py:1104-1109)."""
+    vh = vertices_plane(cfg, uh)  # (m, 4, 2): ul, ur, dr, dl
+    ul_, ur_, dr_, dl_ = vh[:, 0], vh[:, 1], vh[:, 2], vh[:, 3]
+    cx = (ul_[:, 0] + ur_[:, 0]) / 2
+    cy = (ul_[:, 1] + dl_[:, 1]) / 2
+    w = ur_[:, 0] - ul_[:, 0]
+    # Which diagonal of the polar square passes through the center?
+    # Rising (slope +1) runs dl->ur; falling (slope -1) runs ul->dr.
+    fx = cfg.ul_vertex[su.face_of(uh), 0] + cfg.cell_width(0) / 2
+    fy = cfg.ul_vertex[su.face_of(uh), 1] - cfg.cell_width(0) / 2
+    rising = np.abs((cy - fy) - (cx - fx)) <= np.abs((cy - fy) + (cx - fx))
+    # Triangle pairs sharing the bisecting diagonal.
+    A1 = np.where(rising[:, None], ul_, ur_)
+    B1 = np.where(rising[:, None], dl_, ul_)
+    C1 = np.where(rising[:, None], ur_, dr_)
+    A2 = np.where(rising[:, None], dr_, dl_)
+    B2 = np.where(rising[:, None], dl_, ul_)
+    C2 = np.where(rising[:, None], ur_, dr_)
+    area = w * w
+
+    def tri_integral(A, B, C):
+        # Duffy map of the GL square onto triangle (A, B, C).
+        s = (_GL_NODES + 1) / 2  # [0, 1]
+        ws = _GL_WEIGHTS / 2
+        S = s[None, :, None]
+        T = s[None, None, :]
+        WT = (ws[:, None] * ws[None, :])[None, :, :]
+        px = A[:, 0, None, None] + S * (
+            (1 - T) * (B[:, 0, None, None] - A[:, 0, None, None])
+            + T * (C[:, 0, None, None] - A[:, 0, None, None])
+        )
+        py = A[:, 1, None, None] + S * (
+            (1 - T) * (B[:, 1, None, None] - A[:, 1, None, None])
+            + T * (C[:, 1, None, None] - A[:, 1, None, None])
+        )
+        detJ = np.abs(
+            (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1])
+            - (C[:, 0] - A[:, 0]) * (B[:, 1] - A[:, 1])
+        )
+        _, la, _ = prj.inverse(cfg, px.ravel(), py.ravel())
+        la = la.reshape(px.shape)
+        return (la * WT * S).sum(axis=(1, 2)) * detJ
+
+    integ = tri_integral(A1, B1, C1) + tri_integral(A2, B2, C2)
+    nl, _ = nucleus(cfg, uh, plane=False)
+    return nl, integ / area
 
 
 # How far a centroid box reaches past its computed extremes, in the

@@ -57,13 +57,17 @@ def healpix_sphere(lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     y = 3 * PI / 8 * sin_phi
     polar = np.flatnonzero(~(np.abs(phi) <= phi0))
     if polar.size:
-        lam_p = lam.take(polar)
-        sigma = np.sqrt(3 * (1 - np.abs(sin_phi.take(polar))))
-        cap = np.minimum(np.floor(2 * lam_p / PI + 2), 3.0)  # integral: >= 4 iff > 3
-        lamc = -3 * PI / 4 + (PI / 2) * cap
-        x[polar] = lamc + (lam_p - lamc) * sigma
-        y[polar] = np.sign(phi.take(polar)) * (PI / 4) * (2 - sigma)
+        x[polar], y[polar] = _healpix_polar(lam.take(polar), sin_phi.take(polar))
     return x, y
+
+
+def _healpix_polar(lam: np.ndarray, sin_phi: np.ndarray):
+    """healpix_sphere's polar branch.  On a polar row |phi| > asin(2/3),
+    so sign(sin phi) is sign(phi)."""
+    sigma = np.sqrt(3 * (1 - np.abs(sin_phi)))
+    cap = np.minimum(np.floor(2 * lam / PI + 2), 3.0)  # integral: >= 4 iff > 3
+    lamc = -3 * PI / 4 + (PI / 2) * cap
+    return lamc + (lam - lamc) * sigma, np.sign(sin_phi) * (PI / 4) * (2 - sigma)
 
 
 def in_healpix_image(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -296,6 +300,17 @@ def forward(
     rearrangement (pj_rhealpix.py:371-374); ``proj='healpix'`` stops
     before combine_triangles (dggs.py:379-395).
     """
+    lam, phi = _geodetic_radians(cfg, u, v)
+    x, y = healpix_ellipsoid(lam, phi, cfg)
+    if proj == "rhealpix" and region != "equatorial":
+        x, y = combine_triangles(
+            x, y, north_square=cfg.north_square, south_square=cfg.south_square
+        )
+    return cfg.R_A * x, cfg.R_A * y
+
+
+def _geodetic_radians(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray]:
+    """forward's first step: recentre and wrap (lon, lat), in radians."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     lam = wrap_longitude(u - cfg.lon_0, radians=cfg.radians)
@@ -303,12 +318,41 @@ def forward(
     if not cfg.radians:
         lam = np.deg2rad(lam)
         phi = np.deg2rad(phi)
-    x, y = healpix_ellipsoid(lam, phi, cfg)
-    if proj == "rhealpix" and region != "equatorial":
-        x, y = combine_triangles(
-            x, y, north_square=cfg.north_square, south_square=cfg.south_square
-        )
-    return cfg.R_A * x, cfg.R_A * y
+    return lam, phi
+
+
+def _forward_one_sine(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An approximate rHEALPix ``forward`` with one transcendental, for
+    configs whose ``auth_sin_coeffs`` is set (the authalic series
+    branch).  HEALPix reads the authalic latitude beta only through
+    sin(beta) (the polar test |beta| > asin(2/3) is |sin beta| > 2/3),
+    and sin(beta) is an odd polynomial in sin(phi); the lon/lat wrap,
+    the polar branch, the polar rearrangement and the R_A scaling are
+    forward's own.  The rearrangement rotates the rows of the polar
+    branch; forward's ``combine_triangles`` picks its rows by |y| > pi/4,
+    and the two sets differ only where sigma rounds to 1, on a face edge.
+
+    Returns (x, y, |sin beta|).  Not bit-identical to ``forward``: it
+    only picks cells, through ``index.cell_from_point``, which refines
+    every row the error could move (the bound is documented there)."""
+    lam, phi = _geodetic_radians(cfg, u, v)
+    s = np.sin(phi)
+    c = cfg.auth_sin_coeffs
+    t = s * s
+    p = c[-1] * t  # Horner in sin(phi)**2
+    for ck in c[-2:0:-1]:
+        p += ck
+        p *= t
+    p += c[0]
+    p *= s
+    a = np.abs(p)
+    x = lam  # a fresh array
+    y = 3 * PI / 8 * p
+    polar = np.flatnonzero(a > 2 / 3)
+    if polar.size:
+        xp, yp = _healpix_polar(lam.take(polar), p.take(polar))
+        x[polar], y[polar] = _rotate_polar(xp, yp, cfg.north_square % 4, cfg.south_square % 4, False)
+    return cfg.R_A * x, cfg.R_A * y, a
 
 
 def inverse(

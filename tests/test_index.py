@@ -193,6 +193,32 @@ def test_centroid_goldens():
     assert idx.centroid(WGS84_003, u, plane=True)[0][0] == idx.nucleus(WGS84_003, u, plane=True)[0][0]
 
 
+def test_centroid_memory_is_bounded_by_its_chunk():
+    """centroid integrates skew and dart cells ``_CENTROID_CHUNK`` at a
+    time, so a large batch peaks at a few chunks' temporaries: 4,096
+    skew and 256 dart cells of face N at res 5 stay under 64 MB of
+    traced allocations (integrated all at once they peaked at 544 MB)."""
+    import tracemalloc
+
+    r = 5
+    k = np.arange(9**r, dtype=np.int64)
+    digits = np.empty((k.size, r), dtype=np.int64)
+    for i in range(r - 1, -1, -1):
+        digits[:, i] = k % 9
+        k //= 9
+    u = su.pack(np.zeros(k.size, dtype=np.int64), digits, r)
+    shape = idx.shape_of(WGS84_003, u)
+    u = np.concatenate([u[shape == idx.SHAPE_SKEW][:4096], u[shape == idx.SHAPE_DART][:256]])
+    tracemalloc.start()
+    try:
+        lon, lat = idx.centroid(WGS84_003, u, plane=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(lon).all() and np.isfinite(lat).all()
+    assert peak < 64 * 2**20, peak / 2**20
+
+
 def test_cell_area_golden():
     # rhp_wrappers.py:348-353
     assert WGS84_003.cell_area(9, plane=False) == 219428.08748562282
