@@ -370,7 +370,7 @@ class _Tables:
         self.auth_fwd = np.array(_auth_lat_coeffs_forward(n3), dtype=np.float64)
         self.auth_inv = np.array(_auth_lat_coeffs_inverse(n3), dtype=np.float64)
         # auth_lat's branch rule, on the f it derives from e.
-        series = e != 0 and not abs(1 - math.sqrt(1 - e**2)) > 1 / 150
+        series = e != 0 and abs(1 - math.sqrt(1 - e**2)) <= 1 / 150
         self.auth_sin = _auth_sin_coeffs(e) if series else None
 
 

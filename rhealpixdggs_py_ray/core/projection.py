@@ -339,11 +339,10 @@ def _forward_one_sine(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray, 
     s = np.sin(phi)
     c = cfg.auth_sin_coeffs
     t = s * s
-    p = c[-1] * t  # Horner in sin(phi)**2
-    for ck in c[-2:0:-1]:
-        p += ck
+    p = np.full_like(s, c[-1])  # Horner in sin(phi)**2
+    for ck in c[-2::-1]:
         p *= t
-    p += c[0]
+        p += ck
     p *= s
     a = np.abs(p)
     x = lam  # a fresh array

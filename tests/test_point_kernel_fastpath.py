@@ -47,6 +47,7 @@ FAST = {
     "LON_0": EngineConfig(lon_0=40.0),
     "LAT_0": EngineConfig(lat_0=-25.0),
     "F_150": EngineConfig(f=1 / 150.5),
+    "F_TINY": EngineConfig(f=1e-22),  # sin(beta) = sin(phi): one coefficient
 }
 # A sphere and a flattening past 1/150 keep the exact path.
 EXACT = {"UNIT_003": UNIT_003, "FLAT_003": EngineConfig(f=1 / 100)}
@@ -178,7 +179,7 @@ def test_exact_configs_keep_the_exact_path(name):
     assert EXACT[name].auth_sin_coeffs is None
 
 
-@pytest.mark.parametrize("f", [1 / 298.257223563, 1 / 150.5])
+@pytest.mark.parametrize("f", [1 / 298.257223563, 1 / 150.5, 1e-22])
 def test_one_sine_error_within_bound(f):
     """The certificate's premise: the one-sine sin(beta) is within a
     tenth of _SIN_BETA_ERR of the sin of forward's series beta."""
