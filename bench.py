@@ -119,7 +119,7 @@ def run_headline(num_cpus: int, rows: int) -> dict:
                     u = u[self.semi.hits(u)]
                     rank = su.tile_rank(u, self.tile_res)
                     counts += np.bincount(rank, minlength=self.n_ranks)
-            hit = np.flatnonzero(counts)
+            hit = np.flatnonzero(counts != 0)
             tiles = su.tile_from_rank(hit, self.tile_res)
             return pa.table(
                 {"tile_u64": pa.array(tiles, type=pa.uint64()), "n_partial": pa.array(counts[hit])}
@@ -150,7 +150,7 @@ def run_headline(num_cpus: int, rows: int) -> dict:
     for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
         rank = su.tile_rank(b["tile_u64"].to_numpy(zero_copy_only=False), TILE_RES)
         np.add.at(acc, rank, b["n_partial"].to_numpy(zero_copy_only=False))
-    hit = np.flatnonzero(acc)
+    hit = np.flatnonzero(acc != 0)
     out = pd.DataFrame({"tile_u64": su.tile_from_rank(hit, TILE_RES), "n": acc[hit]})
     dt = time.time() - t0
     ray.shutdown()

@@ -20,7 +20,7 @@ import numpy as np
 from rhealpixdggs_py_ray.core import projection as prj
 from rhealpixdggs_py_ray.core import suid as su
 from rhealpixdggs_py_ray.core.config import EngineConfig
-from rhealpixdggs_py_ray.core.utils import wrap_longitude
+from rhealpixdggs_py_ray.core.utils import ravel_pair, wrap_longitude
 
 INVALID = np.uint64(0xFFFFFFFFFFFFFFFF)  # sentinel for "no cell" (off-grid)
 
@@ -42,16 +42,16 @@ def cell_from_point(
     ValueError, as ``su.pack`` does.  (lon, lat) on an ellipsoid of the
     authalic series branch take ``_cell_from_lonlat``'s filter and
     refine; its cells equal those of ``forward`` + the planar step.
+    ``x`` and ``y`` broadcast; the cells take their shape.
     """
     if resolution > su.MAX_PACK_RESOLUTION:
         raise ValueError(f"resolution {resolution} > {su.MAX_PACK_RESOLUTION}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    shape, x, y = ravel_pair(x, y)
     if not plane:
         if cfg.auth_sin_coeffs is not None:
-            return _cell_from_lonlat(cfg, resolution, x, y)[0]
+            return _cell_from_lonlat(cfg, resolution, x, y)[0].reshape(shape)
         x, y = prj.forward(cfg, x, y)
-    return _plane_cells(cfg, resolution, x, y)[0]
+    return _plane_cells(cfg, resolution, x, y)[0].reshape(shape)
 
 
 # Filter-and-refine bounds, in unit-sphere planar units (the plane

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from rhealpixdggs_py_ray.core.config import EngineConfig
-from rhealpixdggs_py_ray.core.utils import auth_lat, wrap_latitude, wrap_longitude
+from rhealpixdggs_py_ray.core.utils import auth_lat, ravel_pair, wrap_latitude, wrap_longitude
 
 PI = math.pi
 
@@ -298,21 +298,22 @@ def forward(
     pj_rhealpix.py:542-562 (deg->rad + x R_A) and the projection chain
     into one batched call.  ``region='equatorial'`` skips the polar
     rearrangement (pj_rhealpix.py:371-374); ``proj='healpix'`` stops
-    before combine_triangles (dggs.py:379-395).
+    before combine_triangles (dggs.py:379-395).  ``u`` and ``v``
+    broadcast; (x, y) take their shape.
     """
+    shape, u, v = ravel_pair(u, v)
     lam, phi = _geodetic_radians(cfg, u, v)
     x, y = healpix_ellipsoid(lam, phi, cfg)
     if proj == "rhealpix" and region != "equatorial":
         x, y = combine_triangles(
             x, y, north_square=cfg.north_square, south_square=cfg.south_square
         )
-    return cfg.R_A * x, cfg.R_A * y
+    return (cfg.R_A * x).reshape(shape), (cfg.R_A * y).reshape(shape)
 
 
 def _geodetic_radians(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """forward's first step: recentre and wrap (lon, lat), in radians."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    """forward's first step on 1-D float64 (lon, lat): recentre and
+    wrap, in radians."""
     lam = wrap_longitude(u - cfg.lon_0, radians=cfg.radians)
     phi = wrap_latitude(v - cfg.lat_0, radians=cfg.radians)
     if not cfg.radians:
@@ -332,9 +333,11 @@ def _forward_one_sine(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray, 
     branch; forward's ``combine_triangles`` picks its rows by |y| > pi/4,
     and the two sets differ only where sigma rounds to 1, on a face edge.
 
-    Returns (x, y, |sin beta|).  Not bit-identical to ``forward``: it
-    only picks cells, through ``index.cell_from_point``, which refines
-    every row the error could move (the bound is documented there)."""
+    Returns (x, y, |sin beta|), in the broadcast shape of ``u`` and
+    ``v``.  Not bit-identical to ``forward``: it only picks cells,
+    through ``index.cell_from_point``, which refines every row the
+    error could move (the bound is documented there)."""
+    shape, u, v = ravel_pair(u, v)
     lam, phi = _geodetic_radians(cfg, u, v)
     s = np.sin(phi)
     c = cfg.auth_sin_coeffs
@@ -351,7 +354,7 @@ def _forward_one_sine(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray, 
     if polar.size:
         xp, yp = _healpix_polar(lam.take(polar), p.take(polar))
         x[polar], y[polar] = _rotate_polar(xp, yp, cfg.north_square % 4, cfg.south_square % 4, False)
-    return cfg.R_A * x, cfg.R_A * y, a
+    return (cfg.R_A * x).reshape(shape), (cfg.R_A * y).reshape(shape), a.reshape(shape)
 
 
 def inverse(
@@ -362,9 +365,11 @@ def inverse(
     proj: str = "rhealpix",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Planar (x, y) meters -> geodetic (lon, lat) in the config's angle
-    unit.  Returns (lon, lat, valid)."""
-    x = np.asarray(x, dtype=np.float64) / cfg.R_A
-    y = np.asarray(y, dtype=np.float64) / cfg.R_A
+    unit.  Returns (lon, lat, valid), in the broadcast shape of ``x``
+    and ``y``."""
+    shape, x, y = ravel_pair(x, y)
+    x = x / cfg.R_A
+    y = y / cfg.R_A
     if proj == "rhealpix":
         valid = in_rhealpix_image(
             x, y, north_square=cfg.north_square, south_square=cfg.south_square
@@ -390,7 +395,7 @@ def inverse(
     phi = np.where(
         valid, wrap_latitude(np.where(valid, phi, 0.0) + cfg.lat_0, radians=cfg.radians), np.inf
     )
-    return lam, phi, valid
+    return lam.reshape(shape), phi.reshape(shape), valid.reshape(shape)
 
 
 def xyz(cfg: EngineConfig, lam: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -106,20 +106,20 @@ def parent(u: np.ndarray, res: int) -> np.ndarray:
 # 354,294 (2.8 MB as int64) at the cap.
 MAX_TILE_RES = 5
 MAX_TILE_RANKS = 6 * 9**MAX_TILE_RES
-_RANK_BYTES = (MAX_TILE_RES + 2) // 2  # nibble pairs in face + MAX_TILE_RES digits
-_NOT_A_CELL = 1 << 40  # a byte entry past every rank: some nibble is >= 9
+_NOT_A_CELL = 1 << 40  # an entry past every rank: some nibble is >= 9
 
 
-def _rank_table() -> np.ndarray:
-    """int64[_RANK_BYTES, 256]: row k maps a byte holding two nibbles
-    (hi, lo) to (9 * hi + lo) * 81**k, or to _NOT_A_CELL when either
-    nibble is >= 9."""
-    b = np.arange(256, dtype=np.int64)
-    hi, lo = b >> 4, b & 0xF
-    scale = 81 ** np.arange(_RANK_BYTES, dtype=np.int64)[:, None]
-    t = np.where((hi < 9) & (lo < 9), (9 * hi + lo) * scale, _NOT_A_CELL)
-    t.flags.writeable = False
-    return t
+def _rank_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(LO, HI), int64[4096] each: entry t of LO maps three nibbles
+    (a, b, c) to their base-9 value 81 * a + 9 * b + c, HI to 729 times
+    that; either holds _NOT_A_CELL when a nibble is >= 9."""
+    t = np.arange(4096, dtype=np.int64)
+    a, b, c = t >> 8, (t >> 4) & 0xF, t & 0xF
+    cell = (a < 9) & (b < 9) & (c < 9)
+    lo = np.where(cell, 81 * a + 9 * b + c, _NOT_A_CELL)
+    hi = np.where(cell, 729 * lo, _NOT_A_CELL)
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def _digit_table() -> np.ndarray:
@@ -134,7 +134,7 @@ def _digit_table() -> np.ndarray:
     return t
 
 
-_RANK_TABLE = _rank_table()
+_RANK_LO, _RANK_HI = _rank_tables()
 _DIGIT_TABLE = _digit_table()
 
 
@@ -153,20 +153,24 @@ def tile_rank(u: np.ndarray, res: int) -> np.ndarray:
     """Rank of each cell's res-``res`` prefix among the 6 * 9**res
     tiles: the base-9 number whose digits are the face and the first
     ``res`` digits, so at one resolution rank order is packed (SUID)
-    order.  int64 in [0, 6 * 9**res).  One table lookup per nibble
-    pair.  Raises ValueError past MAX_TILE_RES and on a prefix that is
-    not a cell (face >= 6 or a digit >= 9, e.g. ``index.INVALID``)."""
+    order.  int64 in [0, 6 * 9**res).  Two table lookups: the prefix
+    has at most six nibbles (24 bits), three per table.  Raises
+    ValueError past MAX_TILE_RES and on a prefix that is not a cell
+    (face >= 6 or a digit >= 9, e.g. ``index.INVALID``)."""
     k = num_tile_ranks(res)
     u = np.asarray(u, dtype=np.uint64)
-    s = u.view(np.int64)
-    shift = 60 - 4 * res  # the prefix's lowest nibble
-    rank = _RANK_TABLE[0].take((s >> shift) & 0xFF)
-    for i in range(1, (res + 2) // 2):
-        rank += _RANK_TABLE[i].take((s >> (shift + 8 * i)) & 0xFF)
+    flat = u.reshape(-1)  # 1-D, so on 0-D input too the ufuncs give arrays ``take`` can fill
+    p = (flat >> np.uint64(60 - 4 * res)).view(np.int64)
+    hi = p >> 12
+    p &= 0xFFF
+    # Both indices are < 4096, so mode="wrap" only skips the bounds
+    # check and lets ``take`` write into ``out`` unbuffered.
+    rank = _RANK_HI.take(hi, mode="wrap")
+    rank += _RANK_LO.take(p, out=hi, mode="wrap")
     if rank.size and int(rank.max()) >= k:
-        bad = int(u[np.argmax(rank >= k)])
+        bad = int(flat[np.argmax(rank >= k)])
         raise ValueError(f"{bad:#018x} has no res-{res} tile: not a cell prefix")
-    return rank
+    return rank.reshape(u.shape)
 
 
 def tile_from_rank(rank: np.ndarray, res: int) -> np.ndarray:

@@ -37,6 +37,15 @@ def my_round(x, digits: int = 0):
         return tuple(result) if isinstance(x, tuple) else result
 
 
+def ravel_pair(a, b) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(shape, a, b): ``a`` and ``b`` as float64, broadcast together and
+    raveled, for kernels that index the rows of 1-D arrays.  Reshape
+    their outputs to ``shape``.  Equal-shape 1-D inputs come back as
+    they are."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    return a.shape, a.ravel(), b.ravel()
+
+
 def wrap_longitude(lam: np.ndarray, radians: bool = False) -> np.ndarray:
     """Wrap angles into [-half, half) (reference utils.py:47-71)."""
     lam = np.asarray(lam, dtype=np.float64)

@@ -14,8 +14,9 @@ reducers.  Aggregation is therefore staged:
    ``su.MAX_TILE_RES`` (5: 354,294 slots), and a row that holds no
    cell (``index.INVALID``) raises ValueError here.
 2. **Salted merge** ``groupby([tile, salt])``: partials of a hot tile
-   carry a deterministic salt (derived from the batch's phash mix), so
-   even a tile holding most of the data merges on S reducers, not one.
+   carry a deterministic per-batch salt (a hash of the sum of the
+   batch's phashes), so even a tile holding most of the data merges on
+   S reducers, not one.
 3. **Final merge** ``groupby(tile)`` over <= S rows per tile.
 
 For plain counts stage 2 is belt-and-braces; it is the load-bearing
@@ -38,36 +39,44 @@ class _TileCombiner:
     """Per-batch partial aggregation: (tile_u64, salt, n_partial), one
     row per tile present in the batch, in tile order.  A dense fold:
     each row's ``su.tile_rank`` indexes a 6 * 9**tile_res vector of
-    counts and salts, so no row is sorted.  ValueError past
-    ``su.MAX_TILE_RES`` and on a row that is not a cell."""
+    counts, so no row is sorted, and a rank -> tile table built here
+    names the occupied slots.  ValueError past ``su.MAX_TILE_RES`` and
+    on a row that is not a cell.
+
+    The salt is one value per batch: the top ``salt_bits`` bits of the
+    wrapping uint64 sum of the batch's ``salt_col`` times
+    ``hash_bucket_u64``'s multiplier (0 without a salt column or bits).
+    Its one reader is the salted merge, which only needs a hot tile's
+    partials spread over 2**salt_bits keys; a tile has at most one
+    partial per batch, so a per-batch value spreads them as well as a
+    per-tile one.  Not an xor of the column: that is 0 on every batch
+    of aligned sequential ids."""
 
     def __init__(self, tile_res: int, salt_bits: int, cell_col: str, salt_col: str | None):
         self.n_ranks = su.num_tile_ranks(tile_res)
         self.tile_res = tile_res
-        self.salt_mask = (1 << salt_bits) - 1
+        self.tiles = su.tile_from_rank(np.arange(self.n_ranks), tile_res)
+        self.salt_bits = salt_bits
         self.cell_col = cell_col
         self.salt_col = salt_col
+
+    def _salt(self, batch: pa.Table) -> int:
+        if self.salt_col is None or not self.salt_bits:
+            return 0
+        col = batch[self.salt_col].to_numpy(zero_copy_only=False)
+        s = int(col.astype(np.int64, copy=False).view(np.uint64).sum())
+        return (s * 0x9E3779B97F4A7C15 % 2**64) >> (64 - self.salt_bits)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         u = batch[self.cell_col].to_numpy(zero_copy_only=False)
         rank = su.tile_rank(u, self.tile_res)
         counts = np.bincount(rank, minlength=self.n_ranks)
-        hit = np.flatnonzero(counts)
-        if self.salt_col is not None and self.salt_mask:
-            # Deterministic per-(tile, batch) salt: xor-fold the tile's
-            # phashes so a hot tile's partials spread over 2**salt_bits
-            # merge keys instead of one.
-            ph = batch[self.salt_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
-            salts = np.zeros(self.n_ranks, dtype=np.int64)
-            np.bitwise_xor.at(salts, rank, ph & self.salt_mask)
-            salts = salts[hit]
-        else:
-            salts = np.zeros(len(hit), dtype=np.int64)
+        hit = np.flatnonzero(counts != 0)
         return pa.table(
             {
-                "tile_u64": pa.array(su.tile_from_rank(hit, self.tile_res), type=pa.uint64()),
-                "salt": pa.array(salts, type=pa.int64()),
-                "n_partial": pa.array(counts[hit], type=pa.int64()),
+                "tile_u64": pa.array(self.tiles.take(hit), type=pa.uint64()),
+                "salt": pa.array(np.full(hit.size, self._salt(batch), dtype=np.int64)),
+                "n_partial": pa.array(counts.take(hit), type=pa.int64()),
             }
         )
 

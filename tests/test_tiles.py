@@ -22,8 +22,7 @@ CONFIGS = {"WGS84_003": WGS84_003, "WGS84_002": WGS84_002}
 
 def reference_combine(batch, tile_res, salt_bits, cell_col="cell_u64", salt_col="phash"):
     """The sort-based combiner: stable argsort by tile, one partial per
-    run of equal tiles, salts from a running xor of the phashes."""
-    salt_mask = (1 << salt_bits) - 1
+    run of equal tiles, every partial salted with reference_salt."""
     u = batch[cell_col].to_numpy(zero_copy_only=False)
     tile = su.parent(u, tile_res)
     order = np.argsort(tile, kind="stable")
@@ -33,13 +32,7 @@ def reference_combine(batch, tile_res, salt_bits, cell_col="cell_u64", salt_col=
     ends = np.concatenate([change + 1, [len(t_s)]])
     counts = (ends - starts).astype(np.int64)
     out_tile = t_s[starts]
-    if salt_col is not None and salt_mask:
-        ph = batch[salt_col].to_numpy(zero_copy_only=False).astype(np.int64)[order]
-        cum = np.bitwise_xor.accumulate(ph)
-        prev = np.where(starts > 0, cum[np.maximum(starts - 1, 0)], 0)
-        salts = (cum[ends - 1] ^ prev) & salt_mask
-    else:
-        salts = np.zeros(len(out_tile), dtype=np.int64)
+    salts = np.full(len(out_tile), reference_salt(batch, salt_bits, salt_col), dtype=np.int64)
     return pa.table(
         {
             "tile_u64": pa.array(out_tile, type=pa.uint64()),
@@ -47,6 +40,16 @@ def reference_combine(batch, tile_res, salt_bits, cell_col="cell_u64", salt_col=
             "n_partial": pa.array(counts, type=pa.int64()),
         }
     )
+
+
+def reference_salt(batch, salt_bits, salt_col="phash"):
+    """The batch's salt in Python ints: the top ``salt_bits`` bits of
+    (sum of the salt column mod 2**64) * 0x9E3779B97F4A7C15 mod 2**64;
+    0 without a salt column or bits."""
+    if salt_col is None or salt_bits == 0:
+        return 0
+    s = sum(batch[salt_col].to_pylist()) % 2**64
+    return (s * 0x9E3779B97F4A7C15 % 2**64) >> (64 - salt_bits)
 
 
 def points_batch(cfg, n: int, seed: int, polar_share: float = 0.0) -> pa.Table:
@@ -102,6 +105,75 @@ def test_combiner_salt_variants(salt_col, salt_bits):
     assert got.equals(reference_combine(batch, 3, salt_bits, salt_col=salt_col))
     if salt_col is None or salt_bits == 0:
         assert not pc.any(pc.not_equal(got["salt"], 0)).as_py()
+
+
+@pytest.mark.parametrize("salt_kind", ["random", "sequential"])
+def test_salt_spreads_a_hot_tile(salt_kind):
+    """What the salt is for: over 64 batches with 95% of rows in one
+    north-cap tile, that tile's partials take >= 4 of the 8 salts, so
+    the salted merge spreads them over >= 4 keys.  The sequential
+    column holds aligned ids, whose xor is 0 on every batch."""
+    n, rows = 64, 1024
+    big = points_batch(WGS84_003, n * rows, 21, polar_share=0.95)
+    if salt_kind == "sequential":
+        big = big.set_column(1, "phash", pa.array(np.arange(n * rows, dtype=np.int64)))
+    comb = _TileCombiner(1, 3, "cell_u64", "phash")
+    hot_salts = []
+    for b in range(n):
+        batch = big.slice(b * rows, rows)
+        got = comb(batch)
+        salts = got["salt"].to_numpy()
+        assert (salts == salts[0]).all()  # one salt per batch
+        assert salts[0] == reference_salt(batch, 3)
+        hot_salts.append(int(salts[np.argmax(got["n_partial"].to_numpy())]))
+        for salt_col, salt_bits in ((None, 3), ("phash", 0)):
+            unsalted = _TileCombiner(1, salt_bits, "cell_u64", salt_col)(batch)
+            assert not unsalted["salt"].to_numpy().any()
+    assert len(set(hot_salts)) >= 4
+    # Equal batches give equal salts, in a fresh combiner too.
+    first = big.slice(0, rows)
+    copy = pa.table(first.to_pydict(), schema=first.schema)
+    assert _TileCombiner(1, 3, "cell_u64", "phash")(copy).equals(comb(first))
+
+
+def nibble_rank(word: int, res: int):
+    """tile_rank of one word, one nibble at a time: the base-9 number of
+    its face and first ``res`` digits, or None when that prefix is not
+    a cell (face >= 6 or a digit >= 9)."""
+    nibbles = [(word >> (60 - 4 * i)) & 0xF for i in range(res + 1)]
+    if nibbles[0] >= 6 or max(nibbles) >= 9:
+        return None
+    rank = 0
+    for d in nibbles:
+        rank = 9 * rank + d
+    return rank
+
+
+@pytest.mark.parametrize("res", range(su.MAX_TILE_RES + 1))
+def test_tile_rank_matches_nibble_loop(res):
+    """Random words, cell prefixes with random low bits, prefixes with
+    one nibble pushed to 9..15 (faces 6..15 among them) and INVALID:
+    cell prefixes get the loop's rank, every other word raises."""
+    rng = np.random.default_rng(1000 + res)
+    words = [int(w) for w in rng.integers(0, 2**64, 300, dtype=np.uint64)]
+    for _ in range(300):
+        nibbles = [int(rng.integers(0, 6))] + [int(d) for d in rng.integers(0, 9, res)]
+        low = int(rng.integers(0, 2 ** (60 - 4 * res), dtype=np.uint64))
+        word = sum(d << (60 - 4 * i) for i, d in enumerate(nibbles)) | low
+        words.append(word)
+        at = int(rng.integers(0, res + 1))
+        bad = int(rng.integers(6 if at == 0 else 9, 16))
+        words.append(word & ~(0xF << (60 - 4 * at)) | (bad << (60 - 4 * at)))
+    words.append(int(idx.INVALID))
+    want = [nibble_rank(w, res) for w in words]
+    cells = [w for w, r in zip(words, want) if r is not None]
+    assert len(cells) >= 300 and len(cells) < len(words) - 300
+    got = su.tile_rank(np.array(cells, dtype=np.uint64), res)
+    assert got.tolist() == [r for r in want if r is not None]
+    for w, r in zip(words, want):
+        if r is None:
+            with pytest.raises(ValueError, match="not a cell prefix"):
+                su.tile_rank(np.array([w], dtype=np.uint64), res)
 
 
 def test_combiner_empty_and_one_row_batches():
