@@ -212,7 +212,8 @@ def _spread_digits(v: np.ndarray, N: int, resolution: int) -> np.ndarray:
     gather while N**resolution fits the table (res <= 10 at N = 3)."""
     t = _spread_table(N)
     width = _spread_width(N)
-    v = v % N**resolution  # dy just past 1 gives N**res: wrap it to 0
+    if not (v.size and 0 <= v.min() and v.max() < N**resolution):
+        v = v % N**resolution  # dy just past 1 gives N**res: wrap it to 0
     if resolution <= width:
         return t.take(v)
     base = N**width
@@ -450,15 +451,24 @@ def centroid(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
     return lon, lat
 
 
+def _square(cfg: EngineConfig, uh: np.ndarray):
+    """(x1, x2, y1, y2): each cell's planar square."""
+    vh = vertices_plane(cfg, uh)
+    return vh[:, :, 0].min(axis=1), vh[:, :, 0].max(axis=1), vh[:, :, 1].min(axis=1), vh[:, :, 1].max(axis=1)
+
+
+def _face_centre(cfg: EngineConfig, uh: np.ndarray):
+    """(x, y): the planar centre of each cell's res-0 face."""
+    face = su.face_of(uh)
+    w0 = cfg.cell_width(0)
+    return cfg.ul_vertex[face, 0] + w0 / 2, cfg.ul_vertex[face, 1] - w0 / 2
+
+
 def _skew_centroid(cfg: EngineConfig, uh: np.ndarray):
     """(lon, lat) centroids of skew-quad cells.  A skew quad lies inside
     one polar triangle, so the inverse projection is smooth over the
     square: tensor Gauss-Legendre."""
-    vh = vertices_plane(cfg, uh)
-    x1 = vh[:, :, 0].min(axis=1)
-    x2 = vh[:, :, 0].max(axis=1)
-    y1 = vh[:, :, 1].min(axis=1)
-    y2 = vh[:, :, 1].max(axis=1)
+    x1, x2, y1, y2 = _square(cfg, uh)
     area = (x2 - x1) ** 2
     g = _GL_NODES
     wgt = _GL_WEIGHTS
@@ -476,6 +486,30 @@ def _skew_centroid(cfg: EngineConfig, uh: np.ndarray):
     return (lo * W2 * jac).sum(axis=(1, 2)) / area, (la * W2 * jac).sum(axis=(1, 2)) / area
 
 
+def skew_centroid_estimate(cfg: EngineConfig, uh: np.ndarray):
+    """(lon, lat) within ~1e-12 of ``centroid`` for skew-quad cells,
+    from 30 inverse projections instead of 900.  In one polar triangle
+    latitude depends only on the Chebyshev axis (the one along which
+    distance from the face centre grows), and longitude is affine in
+    the other axis (HEALPix: lambda = x_c + (x - x_c) / tau, then a
+    quarter turn).  The GL rule has sum w = 2 and sum w g = 0, so the
+    30x30 tensor sum is 1/2 sum_i w_i F(a_i, b_mid): the 1-D rule
+    along the cell's mid-line on that axis.  The two sums round
+    differently, so this only decides cells with a margin
+    (``stages.join.polyfill_dense``); ``centroid`` keeps its bits."""
+    x1, x2, y1, y2 = _square(cfg, uh)
+    cx = (x1 + x2) / 2
+    cy = (y1 + y2) / 2
+    fx, fy = _face_centre(cfg, uh)
+    vertical = np.abs(cy - fy) > np.abs(cx - fx)
+    g = _GL_NODES[None, :]
+    X = np.where(vertical[:, None], cx[:, None], cx[:, None] + (x2 - x1)[:, None] / 2 * g)
+    Y = np.where(vertical[:, None], cy[:, None] + (y2 - y1)[:, None] / 2 * g, cy[:, None])
+    lo, la, _ = prj.inverse(cfg, X.ravel(), Y.ravel())
+    k = _GL_NODES.shape[0]
+    return lo.reshape(-1, k) @ _GL_WEIGHTS / 2, la.reshape(-1, k) @ _GL_WEIGHTS / 2
+
+
 def _dart_centroid(cfg: EngineConfig, uh: np.ndarray):
     """(lon, lat) centroids of dart cells.  A dart cell's square is
     bisected by a polar-square diagonal, across which the inverse
@@ -490,8 +524,7 @@ def _dart_centroid(cfg: EngineConfig, uh: np.ndarray):
     w = ur_[:, 0] - ul_[:, 0]
     # Which diagonal of the polar square passes through the center?
     # Rising (slope +1) runs dl->ur; falling (slope -1) runs ul->dr.
-    fx = cfg.ul_vertex[su.face_of(uh), 0] + cfg.cell_width(0) / 2
-    fy = cfg.ul_vertex[su.face_of(uh), 1] - cfg.cell_width(0) / 2
+    fx, fy = _face_centre(cfg, uh)
     rising = np.abs((cy - fy) - (cx - fx)) <= np.abs((cy - fy) + (cx - fx))
     # Triangle pairs sharing the bisecting diagonal.
     A1 = np.where(rising[:, None], ul_, ur_)
@@ -562,10 +595,7 @@ def centroid_box(cfg: EngineConfig, u: np.ndarray, plane: bool = True):
     if polar.size:
         uh = u.take(polar)
         v = vertices_plane(cfg, uh)  # ul, ur, dr, dl
-        face = su.face_of(uh)
-        w0 = cfg.cell_width(0)
-        fx = cfg.ul_vertex[face, 0] + w0 / 2
-        fy = cfg.ul_vertex[face, 1] - w0 / 2
+        fx, fy = _face_centre(cfg, uh)
         near_x = np.clip(fx, v[:, 0, 0], v[:, 1, 0])
         near_y = np.clip(fy, v[:, 2, 1], v[:, 0, 1])
         px = np.concatenate([v[:, :, 0], near_x[:, None]], axis=1)

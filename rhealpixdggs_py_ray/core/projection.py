@@ -313,12 +313,20 @@ def forward(
 
 def _geodetic_radians(cfg: EngineConfig, u, v) -> tuple[np.ndarray, np.ndarray]:
     """forward's first step on 1-D float64 (lon, lat): recentre and
-    wrap, in radians."""
-    lam = wrap_longitude(u - cfg.lon_0, radians=cfg.radians)
-    phi = wrap_latitude(v - cfg.lat_0, radians=cfg.radians)
+    wrap, in radians.  A wrap leaves in-range values as they are, so it
+    runs only when min/max find one out of range; a NaN fails every
+    compare, and empty input takes the wrap too.  Both outputs are
+    fresh arrays (``_forward_one_sine`` writes into lam)."""
+    lam = u - cfg.lon_0
+    phi = v - cfg.lat_0
+    half = cfg.pi()
+    if not (lam.size and -half <= lam.min() and lam.max() < half):
+        lam = wrap_longitude(lam, radians=cfg.radians)
+    if not (phi.size and -half / 2 <= phi.min() and phi.max() <= half / 2):
+        phi = wrap_latitude(phi, radians=cfg.radians)
     if not cfg.radians:
-        lam = np.deg2rad(lam)
-        phi = np.deg2rad(phi)
+        np.deg2rad(lam, out=lam)
+        np.deg2rad(phi, out=phi)
     return lam, phi
 
 

@@ -37,6 +37,11 @@ MAX_PACK_RESOLUTION = 14
 # One Arrow string array indexes its bytes with int32 offsets.
 MAX_STRING_BYTES = 2**31 - 1
 _FACE_CHARS = np.array([ord(c) for c in CELLS0], dtype=np.uint8)
+# The two characters of one byte of a cell_u64 as one native uint16:
+# two digit nibbles, or (bytes 0-95) the face and the first digit.  A
+# nibble past 9 prints as ':'..'?'.
+_DIGIT_PAIRS = np.array([[48 + (b >> 4), 48 + (b & 15)] for b in range(256)], dtype=np.uint8).view(np.uint16).ravel()
+_FACE_PAIRS = np.array([[_FACE_CHARS[b >> 4], 48 + (b & 15)] for b in range(96)], dtype=np.uint8).view(np.uint16).ravel()
 
 
 def pack(face: np.ndarray, digits: np.ndarray, resolution: int) -> np.ndarray:
@@ -230,17 +235,27 @@ def to_string_fixed(u: np.ndarray, resolution: int) -> pa.StringArray:
     SUID strings, fully vectorized (no per-row Python).  Every string
     is 1 + resolution bytes, so the digit matrix is the Arrow data
     buffer as is and the offsets are an arange.  The hot-path variant
-    used by the CellIndexer stage."""
+    used by the CellIndexer stage.
+
+    Byte k of ``u``, most significant first, holds characters 2k and
+    2k + 1, so each string is ceil(width / 2) two-byte gathers, written
+    through a uint16 view with row stride ``width``.  Columns go last
+    first: an odd width's last pair spills one byte into the next row,
+    which that row's first pair then overwrites (the buffer has one
+    spare byte for the last row).  The first byte's 96-entry table ends
+    at face 5, so faces 6-15 and INVALID raise IndexError."""
     u = np.asarray(u, dtype=np.uint64)
     n = u.shape[0]
     width = 1 + resolution
     check_string_bytes(n * width)
-    buf = np.empty((n, width), dtype=np.uint8)
-    buf[:, 0] = _FACE_CHARS[(u >> np.uint64(60)).astype(np.int64)]
-    for i in range(resolution):
-        shift = np.uint64(56 - 4 * i)
-        buf[:, 1 + i] = ((u >> shift) & np.uint64(0xF)).astype(np.uint8) + ord("0")
-    return _string_array(np.arange(0, (n + 1) * width, width, dtype=np.int32), buf)
+    data = np.empty(n * width + 1, dtype=np.uint8)
+    pairs = (width + 1) // 2
+    out = np.ndarray((n, pairs), dtype=np.uint16, buffer=data, strides=(width, 2))
+    le = np.ascontiguousarray(u, dtype="<u8").view(np.uint8).reshape(n, 8)  # byte 7 is the top
+    for k in range(pairs - 1, 0, -1):
+        out[:, k] = _DIGIT_PAIRS.take(le[:, 7 - k])
+    out[:, 0] = _FACE_PAIRS.take(le[:, 7])
+    return _string_array(np.arange(0, (n + 1) * width, width, dtype=np.int32), data[:n * width])
 
 
 def _string_array(offsets: np.ndarray, data: np.ndarray) -> pa.StringArray:

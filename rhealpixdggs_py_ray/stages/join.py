@@ -17,10 +17,14 @@ The engine's point-in-polygon spatial join is two-staged (SURVEY.md
 
 The cover is built without walking the region: every res-r cell is
 enumerated, and ``index.centroid_box`` bounds each centroid.  A cell
-whose box meets no polygon edge is inside or outside as a whole; only
-the boundary cells pay for the exact ``centroid``.  Covers equal
-``wrappers.polyfill_u64`` (``cells_from_region`` walk + centroid
-test), which the tests keep as the reference.
+whose box meets no polygon edge is inside or outside as a whole.  A
+boundary skew quad then takes ``index.skew_centroid_estimate`` (30
+inverse projections, within ~1e-12 of ``centroid``) widened by
+``CENTROID_BOX_MARGIN``: if that box meets no edge either, the
+estimate decides it.  Only boundary darts and near-edge estimates pay
+for the exact ``centroid``.  Covers equal ``wrappers.polyfill_u64``
+(``cells_from_region`` walk + centroid test), which the tests keep as
+the reference.
 
 Because cover membership is exactly polyfill membership, join output
 rows equal the reference's polyfill-based join row set.  An optional
@@ -84,6 +88,18 @@ def polyfill_dense(
             )
     at = np.flatnonzero(boundary)
     keep[at] = False
+    # A boundary skew quad is decided by its centroid estimate when the
+    # estimate's box, widened by the margin, meets no edge either.
+    skew = at[idx.shape_of(cfg, cells.take(at)) == idx.SHAPE_SKEW]
+    ex, ey = idx.skew_centroid_estimate(cfg, cells.take(skew))
+    m = idx.CENTROID_BOX_MARGIN
+    near = np.zeros(len(skew), dtype=bool)
+    for g in geoms:
+        near |= geo.boxes_touch_polygon(ex - m, ex + m, ey - m, ey + m, g)
+    clear = np.flatnonzero(~near)
+    for g in geoms:
+        keep[skew[clear]] |= geo.points_in_polygon(ex[clear], ey[clear], g)
+    at = np.setdiff1d(at, skew[clear], assume_unique=True)
     for s in range(0, len(at), _CENTROID_CHUNK):
         part = at[s:s + _CENTROID_CHUNK]
         cx, cy = idx.centroid(cfg, cells.take(part), plane=plane)

@@ -70,6 +70,45 @@ def test_to_string_fixed_matches_to_string(res, n):
     assert all(len(s) == 1 + res for s in want)
 
 
+@pytest.mark.parametrize("res", range(su.MAX_PACK_RESOLUTION + 1))
+def test_to_string_fixed_every_nibble(res):
+    """Byte pairs at odd and even widths, digit nibbles 0-15 (10-15
+    print as ':'..'?', as in to_string), and the last row's spill."""
+    rng = np.random.default_rng(40 + res)
+    for n in (0, 1, 2, 3, 257):
+        face = np.arange(n, dtype=np.uint64) % np.uint64(6)
+        bits = rng.integers(0, 2**63, n, dtype=np.int64).astype(np.uint64) << np.uint64(1)
+        digits = bits >> np.uint64(64 - 4 * res) << np.uint64(60 - 4 * res) if res else np.zeros(n, np.uint64)
+        u = (face << np.uint64(60)) | digits | np.uint64(res)
+        got = su.to_string_fixed(u, res)
+        got.validate(full=True)
+        assert got.to_pylist() == su.to_string(u).tolist()
+        assert su.to_string_fixed(u[::2], res).to_pylist() == su.to_string(u[::2]).tolist()
+        if res and n == 257:
+            assert any(set(s[1:]) & set(":;<=>?") for s in got.to_pylist())
+
+
+@pytest.mark.parametrize("res", [0, 1, 8, 9, 14])
+def test_to_string_fixed_rejects_non_faces(res):
+    for top in [6, 9, 15]:
+        u = np.array([0, top << 60 | res], dtype=np.uint64)
+        with pytest.raises(IndexError):
+            su.to_string_fixed(u, res)
+    with pytest.raises(IndexError):
+        su.to_string_fixed(np.array([res, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64), res)
+
+
+def test_to_string_fixed_checks_bytes_before_allocating(monkeypatch):
+    u = _cells(np.random.default_rng(2), 10, 9)  # 100 string bytes
+    monkeypatch.setattr(su, "MAX_STRING_BYTES", 99)
+    allocs = []
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda *a, **k: allocs.append(a) or empty(*a, **k))
+    with pytest.raises(ValueError):
+        su.to_string_fixed(u, 9)
+    assert allocs == []
+
+
 def test_to_string_mixed_resolutions():
     rng = np.random.default_rng(7)
     u = np.concatenate([_cells(rng, 40, r) for r in range(su.MAX_PACK_RESOLUTION + 1)])
