@@ -30,7 +30,6 @@ _KEY_AND_ORACLE = {
     "quality": ("quality_score", "quality"),
     "compress": ("compress_cells", "compress"),
     "knn_rings": ("knn_rings", "knn"),
-    "tile_counts_salted": ("tile_counts_salted", "tile_counts"),
 }
 
 
@@ -38,7 +37,7 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: derive coordinates,
     index every event to its resolution-9 rHEALPix cell (actor-pool
     map_batches over zero-copy Arrow), assign SUID-prefix tiles, and
-    aggregate per-tile counts with the salted combiner."""
+    aggregate per-tile counts with the combiner and a driver fold."""
     from rhealpixdggs_py_ray.pipelines import queries as Q
 
     return Q.q_tile_counts("/root/testdata/sf0.001")

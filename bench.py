@@ -8,10 +8,11 @@ Prints ONE JSON line:
 Headline = the BASELINE.json metric: spatial-join + tile-assignment
 over the image-coordinate table — synthetic rows are derived
 deterministically (splitmix64 phash -> lon/lat -> res-9 cell), the
-cover semi-join prunes against a polyfill cover, and the salted
-SUID-prefix tile aggregation consumes the stream.  No stage
-materializes the input; rows are generated, indexed, joined and
-reduced in one streaming pass.
+cover semi-join prunes against a polyfill cover, and the per-span
+tile partials fold on the driver through
+``pipelines.tiles.fold_tile_partials``.  No stage materializes the
+input; rows are generated, indexed, joined and reduced in one
+streaming pass.
 
 ``--scaling``: runs the headline in FRESH processes at num_cpus=N
 and 4N (default 2 and 8; GRAFT_SCALING_CPUS overrides) on the same
@@ -62,11 +63,11 @@ def run_headline(num_cpus: int, rows: int) -> dict:
     - The fused actor kernel chunks each span at 131072 rows so the
       ~20 float64 temporaries stay inside cache (1M-row batches
       measured 2.2x slower), then emits per-span tile partials.
-    - Partials (<= 24k rows each) stream to the driver which folds
-      them as they arrive — no sort shuffle, no barrier.  A sort-based
-      groupby at this cardinality measured 2-3x the cost of the whole
-      pipeline; the salted groupby path (pipelines/tiles.py) remains
-      for heavy per-group state.
+    - Partials (<= 24k rows each) stream to the driver, which folds
+      them as they arrive with ``pipelines.tiles.fold_tile_partials``
+      (the fold ``aggregate_tiles`` ships) — no sort shuffle, no
+      barrier.  A sort-based groupby at this cardinality measured 2-3x
+      the cost of the whole pipeline.
     """
     import ray
 
@@ -80,6 +81,7 @@ def run_headline(num_cpus: int, rows: int) -> dict:
     from rhealpixdggs_py_ray.core import suid as su
     from rhealpixdggs_py_ray.core.config import WGS84_003
     from rhealpixdggs_py_ray.fixtures import phash_to_lonlat, splitmix64
+    from rhealpixdggs_py_ray.pipelines.tiles import fold_tile_partials
     from rhealpixdggs_py_ray.stages.join import CoverSemiJoin, make_cover_ref
 
     # Fixed 2M span, even when that undersubscribes the pool (16 spans
@@ -144,22 +146,17 @@ def run_headline(num_cpus: int, rows: int) -> dict:
     # Stream partial tables to the driver and fold them into one dense
     # per-tile-rank vector as they arrive (a pure-python dict fold here
     # measured ~15s serial at 768M rows — enough to cap the 8-cpu run).
-    import pandas as pd
-
-    acc = np.zeros(su.num_tile_ranks(TILE_RES), dtype=np.int64)
-    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
-        rank = su.tile_rank(b["tile_u64"].to_numpy(zero_copy_only=False), TILE_RES)
-        np.add.at(acc, rank, b["n_partial"].to_numpy(zero_copy_only=False))
-    hit = np.flatnonzero(acc != 0)
-    out = pd.DataFrame({"tile_u64": su.tile_from_rank(hit, TILE_RES), "n": acc[hit]})
+    out = fold_tile_partials(
+        partials.iter_batches(batch_format="pyarrow", batch_size=None), TILE_RES
+    )
     dt = time.time() - t0
     ray.shutdown()
     return {
         "sec": dt,
         "rows": rows,
         "rows_per_sec": rows / dt,
-        "out_tiles": len(out),
-        "joined_rows": int(out["n"].sum()),
+        "out_tiles": out.num_rows,
+        "joined_rows": int(out["n"].to_numpy().sum()),
         "num_cpus": num_cpus,
     }
 

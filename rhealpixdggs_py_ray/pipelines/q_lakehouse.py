@@ -187,14 +187,15 @@ def q_resumable_tiling(sf_dir: str):
     sub-pipelines from driver threads), manifests with lineage +
     metrics; second invocation skips completed partitions
     (byte-identical output pinned in tests).  Per-partition tile
-    partials are re-aggregated at the end (one tiny exchange over
-    ~#tiles rows)."""
+    counts are summed at the end on the driver by the same dense fold
+    as ``aggregate_tiles`` (no exchange)."""
     import glob
     import os
     import shutil
 
     import pyarrow.parquet as pq
 
+    from rhealpixdggs_py_ray.pipelines.tiles import fold_tile_partials
     from rhealpixdggs_py_ray.state.checkpoint import CheckpointedRun
 
     out_dir = f"/tmp/graft_ckpt_{os.path.basename(sf_dir.rstrip('/'))}"
@@ -220,13 +221,9 @@ def q_resumable_tiling(sf_dir: str):
             zero_copy_batch=True,
             concurrency=sizing.pool(8),
         )
-        tiles = aggregate_tiles(ds, TILE_RES, salt_col=None)
+        tiles = aggregate_tiles(ds, TILE_RES)
         tiles.write_parquet(part_out)
-        # Row count from the written files' parquet metadata — re-running
-        # tiles.count() would execute the whole lineage a second time.
-        import pyarrow.dataset as pads
-
-        return {"rows_out": pads.dataset(part_out, format="parquet").count_rows()}
+        return {"rows_out": tiles.count()}
 
     run = CheckpointedRun(out_root=out_dir, config_payload={"res": RES, "tile_res": TILE_RES})
     run.run(parts, pipeline_fn)
@@ -235,22 +232,13 @@ def q_resumable_tiling(sf_dir: str):
     run.run(parts, pipeline_fn)
     if not run.completed_partitions().keys() == before.keys():
         raise AssertionError("resumable_tiling: resume changed the completed partitions")
-    # Final merge: per-partition tile partials are bounded by the grid
-    # cardinality at TILE_RES (x P partitions) — small enough to combine
-    # on the driver; a groupby exchange here costs ~1s fixed for ~1k rows.
+    # Final merge: per-partition tile counts are bounded by the grid
+    # cardinality at TILE_RES (x P partitions), so they fold on the driver.
     t = pq.read_table(
         sorted(glob.glob(f"{out_dir}/part=*/*.parquet")),
         columns=["tile_u64", "n"],
-    )
-    k = t["tile_u64"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    v = t["n"].to_numpy(zero_copy_only=False)
-    uq, inv = np.unique(k, return_inverse=True)
-    s = np.zeros(len(uq), dtype=np.int64)
-    np.add.at(s, inv, v)
-    return pa.table({
-        "tile_id": su.to_string_fixed(uq, TILE_RES),
-        "n": pa.array(s),
-    })
+    ).rename_columns(["tile_u64", "n_partial"])
+    return fold_tile_partials([t], TILE_RES).select(["tile_id", "n"])
 
 
 def sql_resumable_tiling() -> str:

@@ -160,7 +160,7 @@ def q_cell_color(sf_dir: str):
     value-hash."""
     from rhealpixdggs_py_ray.core import wrappers as W
 
-    tiles = aggregate_tiles(indexed_events(sf_dir), TILE_RES, salt_col=None)
+    tiles = aggregate_tiles(indexed_events(sf_dir), TILE_RES)
 
     def colorize(batch: pa.Table) -> pa.Table:
         u = su.from_string(batch["tile_id"].to_pylist())

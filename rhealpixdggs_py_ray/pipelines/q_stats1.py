@@ -9,12 +9,12 @@ from rhealpixdggs_py_ray.pipelines.q_ann import q_nearest_centroid, sql_nearest_
 
 
 # ---------------------------------------------------------------------------
-# SUID-prefix tile aggregation (combiner + salted groupby)
+# SUID-prefix tile aggregation (combiner + driver fold)
 # ---------------------------------------------------------------------------
 
 def q_tile_counts(sf_dir: str):
     ds = indexed_events(sf_dir)
-    return aggregate_tiles(ds, TILE_RES, salt_col=None).select_columns(["tile_id", "n"])
+    return aggregate_tiles(ds, TILE_RES).select_columns(["tile_id", "n"])
 
 
 def sql_tile_counts() -> str:
@@ -1090,23 +1090,6 @@ def sql_tile_pyramid() -> str:
     )
 
 
-def q_tile_counts_salted(sf_dir: str):
-    """Same result as tile_counts but through the salted two-stage merge
-    (combiner -> groupby(tile, salt) -> groupby(tile)) — the explicit
-    skew path for hot polar cap/dart tiles (BASELINE.json north rule;
-    skew test: tests/test_ops.py::test_salted_tile_agg_on_skew)."""
-    ds = indexed_events(sf_dir)
-
-    def add_salt_src(batch: pa.Table) -> pa.Table:
-        ids = batch["event_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("phash", pa.array(ids, type=pa.int64()))
-
-    ds = ds.map_batches(add_salt_src, batch_format="pyarrow", zero_copy_batch=True)
-    return aggregate_tiles(ds, TILE_RES, salt_col="phash", salt_bits=3).select_columns(
-        ["tile_id", "n"]
-    )
-
-
 def q_pivot_events(sf_dir: str):
     """Pivot / wide aggregation: one row per day, one count column per
     event_type (the columnar report shape).  The pivot happens on the
@@ -2069,7 +2052,7 @@ def q_vector_tiles(sf_dir: str):
     emitted as its 4-corner ellipsoidal polygon (unordered vertex set,
     rotation-invariant like cell_boundary) annotated with the tile's
     event count — i.e. a vector layer ready for a tile server.  The
-    count comes from the salted-combiner tile aggregation; the
+    count comes from the combiner tile aggregation; the
     vertices are computed once per surviving tile (a few hundred
     rows), never per event."""
     ds = q_tile_counts(sf_dir)

@@ -248,7 +248,7 @@ def test_ann_ivf_ckpt_matches_transient(ray_session):
 
 def test_registry_complete_and_consistent():
     """queries()/oracle_sql() are derived from the facade namespace:
-    one entry per q_* (443, no two mapped to the same key), every sql_*
+    one entry per q_* (442, no two mapped to the same key), every sql_*
     backs some entry, and every _KEY_AND_ORACLE row names functions
     that exist — a stale or colliding rename fails here."""
     import __ray_entry__ as E
@@ -256,7 +256,7 @@ def test_registry_complete_and_consistent():
 
     qs, sqls = E.queries(), E.oracle_sql()
     q_names = [n for n in dir(Q) if n.startswith("q_")]
-    assert len(qs) == len(q_names) == 443
+    assert len(qs) == len(q_names) == 442
     assert set(qs) == set(sqls)
     assert all(callable(f) for f in qs.values())
     assert all(isinstance(s, str) and s.strip() for s in sqls.values())

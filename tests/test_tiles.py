@@ -2,7 +2,9 @@
 fold key ``su.tile_rank``.
 
 The combiner is checked table-for-table against the sort-based fold it
-replaced, kept below as the reference.  Only the last test needs Ray.
+replaced, kept below as the reference; the driver fold
+(``fold_tile_partials``) against su.parent + np.unique.  Only the
+``aggregate_tiles`` tests need Ray.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import pytest
 from rhealpixdggs_py_ray.core import index as idx
 from rhealpixdggs_py_ray.core import suid as su
 from rhealpixdggs_py_ray.core.config import WGS84_002, WGS84_003
-from rhealpixdggs_py_ray.pipelines.tiles import _TileCombiner
+from rhealpixdggs_py_ray.pipelines.tiles import _TileCombiner, fold_tile_partials
 
 CONFIGS = {"WGS84_003": WGS84_003, "WGS84_002": WGS84_002}
+TILE_COUNTS_SCHEMA = pa.schema([("tile_u64", pa.uint64()), ("tile_id", pa.string()), ("n", pa.int64())])
 
 
 def reference_combine(batch, tile_res, salt_bits, cell_col="cell_u64", salt_col="phash"):
@@ -244,3 +247,51 @@ def test_aggregate_tiles_fails_early_on_non_cells(ray_session):
         aggregate_tiles(ray.data.from_arrow(t), 2).take_all()
     msg = str(err.value)
     assert "ValueError" in msg and "not a cell prefix" in msg and "IndexError" not in msg
+
+
+@pytest.mark.parametrize("tile_res", [0, 2, 5])
+def test_fold_tile_partials_matches_unique(tile_res):
+    """The driver fold over combiner partials (tiles recur across
+    batches, and within the concatenated last batch) == su.parent +
+    np.unique over the raw rows, in ascending tile_u64 order."""
+    batches = [points_batch(WGS84_003, 3000, seed, polar_share=0.5) for seed in range(4)]
+    comb = _TileCombiner(tile_res, 0, "cell_u64", None)
+    parts = [comb(b) for b in batches[:2]] + [pa.concat_tables([comb(b) for b in batches[2:]])]
+    got = fold_tile_partials(parts, tile_res)
+    u = np.concatenate([b["cell_u64"].to_numpy() for b in batches])
+    tiles, counts = np.unique(su.parent(u, tile_res), return_counts=True)
+    assert got.schema.equals(TILE_COUNTS_SCHEMA)
+    assert got["tile_u64"].to_numpy().tolist() == tiles.tolist()
+    assert got["tile_id"].to_pylist() == su.to_string_fixed(tiles, tile_res).to_pylist()
+    assert got["n"].to_numpy().tolist() == counts.tolist()
+    assert fold_tile_partials([], tile_res).equals(TILE_COUNTS_SCHEMA.empty_table())
+
+
+def test_aggregate_tiles_runs_no_exchange(ray_session):
+    """The counts come back as one from_arrow Dataset: no Aggregate and
+    no sort in its plan or its stats."""
+    import ray
+
+    from rhealpixdggs_py_ray.pipelines.tiles import aggregate_tiles
+
+    batch = points_batch(WGS84_003, 5000, 3, polar_share=0.3)
+    agg = aggregate_tiles(ray.data.from_arrow(batch).repartition(4), 2)
+    tiles, counts = np.unique(su.parent(batch["cell_u64"].to_numpy(), 2), return_counts=True)
+    df = agg.to_pandas()
+    assert df["tile_u64"].tolist() == tiles.tolist()
+    assert df["n"].tolist() == counts.tolist()
+    text = str(agg) + agg.stats()
+    assert "Aggregate" not in text and "Sort" not in text
+
+
+def test_aggregate_tiles_empty_input(ray_session):
+    """No rows in, no rows out, with the typed (uint64, string, int64)
+    schema."""
+    import ray
+
+    from rhealpixdggs_py_ray.pipelines.tiles import aggregate_tiles
+
+    empty = pa.table({"cell_u64": pa.array([], type=pa.uint64())})
+    agg = aggregate_tiles(ray.data.from_arrow(empty), 3)
+    assert agg.count() == 0
+    assert agg.schema().base_schema.equals(TILE_COUNTS_SCHEMA)
